@@ -58,7 +58,7 @@ func (b *BeaconSpammer) Step(env *sim.Env, round int, in []sim.Incoming) []sim.O
 		prefix[i] = sim.NodeID(b.rng.Uint64())
 	}
 	origin := sim.NodeID(b.rng.Uint64())
-	return env.Broadcast(counting.Beacon{Origin: origin, Path: prefix})
+	return env.Broadcast(&counting.Beacon{Origin: origin, Path: prefix})
 }
 
 // Silent drops everything and sends nothing: the starvation adversary.
@@ -103,8 +103,10 @@ func (p *PathTamperer) Step(env *sim.Env, round int, in []sim.Incoming) []sim.Ou
 		return nil
 	}
 	for _, m := range in {
-		if bc, ok := m.Payload.(counting.Beacon); ok {
+		if bc, ok := m.Payload.(*counting.Beacon); ok {
 			// Replace the prefix with framed IDs, keep length plausible.
+			// The received beacon is shared with every other receiver,
+			// so the tampered one is built fresh, never written through bc.
 			tampered := make([]sim.NodeID, 0, len(bc.Path)+2)
 			k := len(bc.Path)
 			if k == 0 {
@@ -115,7 +117,7 @@ func (p *PathTamperer) Step(env *sim.Env, round int, in []sim.Incoming) []sim.Ou
 					tampered = append(tampered, p.Frame[p.rng.Intn(len(p.Frame))])
 				}
 			}
-			return env.Broadcast(counting.Beacon{Origin: bc.Origin, Path: tampered})
+			return env.Broadcast(&counting.Beacon{Origin: bc.Origin, Path: tampered})
 		}
 	}
 	return nil

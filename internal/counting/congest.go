@@ -17,7 +17,10 @@ type Beacon struct {
 
 // SizeBits counts the origin, the path IDs, and a small tag. A beacon is
 // a "small-sized message" as long as its path stays O(log n) long.
-func (b Beacon) SizeBits() int { return 16 + 64 + 64*len(b.Path) }
+//
+// Beacons travel as *Beacon and are read-only to receivers: a forwarder
+// builds a new beacon rather than writing through the one it received.
+func (b *Beacon) SizeBits() int { return 16 + 64 + 64*len(b.Path) }
 
 // Continue is the keep-going signal broadcast by undecided nodes at the
 // end of each iteration and forwarded for i+3 rounds (line 35).
@@ -75,17 +78,19 @@ type CongestProc struct {
 	exited   bool
 
 	lastPhase int // phase of the previous step, to reset blacklists
-	lastIter  int // iteration of the previous step, to reset per-iteration state
 
-	blacklist map[sim.NodeID]struct{}
+	blacklist idSet
 
 	spSet bool
 	sp    []sim.NodeID
 
-	receivedContinue     bool
-	forwardedContinue    bool
-	pendingContinueFwd   bool
-	pendingBeaconForward *Beacon
+	receivedContinue  bool
+	forwardedContinue bool
+
+	// ids and beacons are the arena chunks that forwarded paths and
+	// beacon headers are carved from (see carvePath and newBeacon).
+	ids     []sim.NodeID
+	beacons []Beacon
 }
 
 var _ Estimator = (*CongestProc)(nil)
@@ -96,8 +101,6 @@ func NewCongestProc(params CongestParams) *CongestProc {
 		params:    params,
 		locator:   NewLocator(params.Schedule),
 		lastPhase: -1,
-		lastIter:  -1,
-		blacklist: make(map[sim.NodeID]struct{}),
 	}
 }
 
@@ -118,16 +121,12 @@ func (c *CongestProc) Step(env *sim.Env, round int, in []sim.Incoming) []sim.Out
 	// Phase transition: reset the phase blacklist (line 2).
 	if i != c.lastPhase {
 		c.lastPhase = i
-		clear(c.blacklist)
+		c.blacklist.reset()
 	}
-	// Iteration transition: reset shortestPath (line 4).
-	if loc.Iteration != c.lastIter || loc.Offset == 0 {
-		if loc.Offset == 0 {
-			c.lastIter = loc.Iteration
-			c.spSet = false
-			c.sp = nil
-			c.pendingBeaconForward = nil
-		}
+	// Iteration start: reset shortestPath (line 4).
+	if loc.Offset == 0 {
+		c.spSet = false
+		c.sp = nil
 	}
 
 	// out is the env's reusable scratch buffer: building the round's
@@ -146,21 +145,24 @@ func (c *CongestProc) Step(env *sim.Env, round int, in []sim.Incoming) []sim.Out
 		p := ActivationProbability(c.params.C1, i, env.Degree)
 		if env.Rand().Bernoulli(p) {
 			c.spSet = true
-			c.sp = []sim.NodeID{env.ID}
-			out = env.AppendBroadcast(out, Beacon{Origin: env.ID})
+			c.sp = c.carvePath(1)
+			c.sp[0] = env.ID
+			out = env.AppendBroadcast(out, c.newBeacon(env.ID, nil))
 		}
 
 	case loc.Offset <= beaconWindowEnd:
 		// Beacon receive window. Pick one beacon (line 14), append the
 		// true sender ID (line 16), maybe accept it (lines 20-25), and
 		// forward it while transmission is still allowed (lines 17-19).
-		if b, fromID, ok := firstBeacon(in); ok {
-			path := make([]sim.NodeID, 0, len(b.Path)+1)
-			path = append(path, b.Path...)
-			path = append(path, fromID)
-			fwd := Beacon{Origin: b.Origin, Path: path}
-			if loc.Offset <= i+1 {
-				out = env.AppendBroadcast(out, fwd)
+		// A beacon that is neither forwarded nor a candidate for
+		// shortestPath is dropped without building its path.
+		forward := loc.Offset <= i+1
+		if b, fromID, ok := firstBeacon(in); ok && (forward || !c.spSet) {
+			path := c.carvePath(len(b.Path) + 1)
+			copy(path, b.Path)
+			path[len(b.Path)] = fromID
+			if forward {
+				out = env.AppendBroadcast(out, c.newBeacon(b.Origin, path))
 			}
 			if !c.spSet && c.acceptable(path, suffix) {
 				c.spSet = true
@@ -174,7 +176,7 @@ func (c *CongestProc) Step(env *sim.Env, round int, in []sim.Incoming) []sim.Out
 			}
 			if c.spSet && !c.params.DisableBlacklist {
 				for _, id := range prefixToBlacklist(c.sp, suffix) {
-					c.blacklist[id] = struct{}{}
+					c.blacklist.add(id)
 				}
 			}
 			// Continue window starts now: undecided nodes broadcast
@@ -218,14 +220,65 @@ func (c *CongestProc) decide(i, round int) {
 	c.decRound = round
 }
 
+// Arena chunk sizes. Each process carves forwarded paths and beacon
+// headers from chunks that start small and double up to a cap, so a
+// node that forwards a few beacons per run holds little memory and a
+// busy forwarder pays one allocation per many forwards. Larger caps
+// cost peak memory on sweeps with many short-lived cells; smaller
+// initial chunks cost it on graphs with many vertices (see DESIGN.md).
+const (
+	minIDChunk     = 16
+	maxIDChunk     = 64
+	minBeaconChunk = 2
+	maxBeaconChunk = 8
+)
+
+// nextChunk returns the capacity of the chunk that follows one of
+// capacity prev: double it, within [lo, hi].
+func nextChunk(prev, lo, hi int) int {
+	return min(max(2*prev, lo), hi)
+}
+
+// carvePath returns a zeroed n-ID slice carved from the process's ID
+// arena. The slice is capacity-limited, so a receiver's append copies
+// instead of writing into the arena. Chunks are never reused: once
+// full, a chunk is dropped and the garbage collector frees it when no
+// in-flight beacon or shortest path refers to it, so a path stays
+// intact for however long the engine delays its delivery.
+func (c *CongestProc) carvePath(n int) []sim.NodeID {
+	lo := len(c.ids)
+	if cap(c.ids)-lo < n {
+		c.ids = make([]sim.NodeID, 0, max(nextChunk(cap(c.ids), minIDChunk, maxIDChunk), n))
+		lo = 0
+	}
+	hi := lo + n
+	c.ids = c.ids[:hi]
+	return c.ids[lo:hi:hi]
+}
+
+// newBeacon returns a beacon header carved from the process's header
+// arena. Headers are written once, here, and never again, so the
+// pointer stays valid and read-only for the life of the message.
+func (c *CongestProc) newBeacon(origin sim.NodeID, path []sim.NodeID) *Beacon {
+	if len(c.beacons) == cap(c.beacons) {
+		c.beacons = make([]Beacon, 0, nextChunk(cap(c.beacons), minBeaconChunk, maxBeaconChunk))
+	}
+	c.beacons = append(c.beacons, Beacon{Origin: origin, Path: path})
+	return &c.beacons[len(c.beacons)-1]
+}
+
 // acceptable implements the blacklist filter of lines 20-21: the path is
-// accepted when the non-suffix part is disjoint from the blacklist.
+// accepted when the non-suffix part is disjoint from the blacklist. The
+// prefix is scanned tail-first: a spammer's fabricated IDs sit at its
+// head and are fresh every iteration, while its true ID, the one that
+// gets blacklisted, sits just before the trusted suffix.
 func (c *CongestProc) acceptable(path []sim.NodeID, suffix int) bool {
 	if c.params.DisableBlacklist {
 		return true
 	}
-	for _, id := range prefixToBlacklist(path, suffix) {
-		if _, bad := c.blacklist[id]; bad {
+	prefix := prefixToBlacklist(path, suffix)
+	for k := len(prefix) - 1; k >= 0; k-- {
+		if c.blacklist.has(prefix[k]) {
 			return false
 		}
 	}
@@ -244,13 +297,13 @@ func prefixToBlacklist(path []sim.NodeID, suffix int) []sim.NodeID {
 // firstBeacon returns the first beacon in the inbox, matching line 14's
 // "discards all but one arbitrarily chosen message". The engine delivers
 // in deterministic vertex order, so runs stay reproducible.
-func firstBeacon(in []sim.Incoming) (Beacon, sim.NodeID, bool) {
+func firstBeacon(in []sim.Incoming) (*Beacon, sim.NodeID, bool) {
 	for _, m := range in {
-		if b, ok := m.Payload.(Beacon); ok {
+		if b, ok := m.Payload.(*Beacon); ok {
 			return b, m.FromID, true
 		}
 	}
-	return Beacon{}, 0, false
+	return nil, 0, false
 }
 
 func hasContinue(in []sim.Incoming) bool {

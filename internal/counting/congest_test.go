@@ -232,7 +232,7 @@ func TestPrefixToBlacklist(t *testing.T) {
 }
 
 func TestBeaconSizeBits(t *testing.T) {
-	b := Beacon{Origin: 1, Path: []sim.NodeID{2, 3}}
+	b := &Beacon{Origin: 1, Path: []sim.NodeID{2, 3}}
 	if b.SizeBits() != 16+64+128 {
 		t.Errorf("SizeBits = %d", b.SizeBits())
 	}

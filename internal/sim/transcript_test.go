@@ -48,7 +48,7 @@ func foldTranscript(sum uint64, round int, env *sim.Env, withID bool, in []sim.I
 		w64(uint64(m.From))
 		w64(uint64(m.FromID))
 		switch p := m.Payload.(type) {
-		case counting.Beacon:
+		case *counting.Beacon:
 			w64(1)
 			w64(uint64(p.Origin))
 			for _, id := range p.Path {
