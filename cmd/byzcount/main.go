@@ -103,7 +103,6 @@ flags for run:      -proto congest|local|geometric|support|kmv|walk|tree  -n N  
                     -delay SPEC (unit|uniform:MIN-MAX|geo:P@CAP|region:G/NEAR/FAR|gst:R/SPEC)
                     -gst R (jitter before round R, synchronous after)
                     -drop P  -fault SPEC (drop:P|partition:G@FROM[-HEAL])
-                    -tickskip=false (disable virtual-tick fast-forwarding)
 (-parallel defaults to GOMAXPROCS; outputs are identical for every value)
 (-churn K runs on the dynamically maintained H(n,d): K leaves + K joins
  between every pair of rounds, quiescing at round R; with -byz B the
@@ -112,10 +111,6 @@ flags for run:      -proto congest|local|geometric|support|kmv|walk|tree  -n N  
  fault verdicts are drawn from per-sender streams, so outputs stay
  identical for every -parallel value; omitting both keeps the
  synchronous engine)
-(-tickskip is a run-only execution-shape knob, not a matrix axis:
- skipping empty virtual ticks leaves every table byte-identical, so a
- matrix over it would sweep indistinguishable cells; setting it
- explicitly errors unless the protocol is tick-driven under -delay/-fault)
 flags for matrix:   comma-separated axis lists -proto -substrate -adversary
                     -placement -n -byz-frac -churn -delay -fault,
                     plus -churn-stop R  -d D
@@ -407,20 +402,9 @@ func runCmd(args []string) error {
 	drop := fs.Float64("drop", 0, "iid per-message drop probability (shorthand for -fault drop:P)")
 	fault := fs.String("fault", "",
 		"message-fault model spec (drop:P|partition:G@FROM[-HEAL]); overrides -drop")
-	tickSkip := fs.Bool("tickskip", true,
-		"fast-forward empty virtual ticks (requires -delay/-fault and a tick-driven protocol; outputs are identical either way)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	// Only an explicitly typed -tickskip reaches the engine: the default
-	// is already "on", and an explicit setting fail-fasts on runs that
-	// structurally cannot consult it (see expt.RunOptions.TickSkip).
-	var tickSkipOpt *bool
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "tickskip" {
-			tickSkipOpt = tickSkip
-		}
-	})
 	if *churnStop > 0 && *churn == 0 {
 		return fmt.Errorf("-churn-stop %d without -churn K has no effect; pass -churn or drop -churn-stop", *churnStop)
 	}
@@ -454,7 +438,7 @@ func runCmd(args []string) error {
 		Delay:     delaySpec,
 		Fault:     faultSpec,
 	}
-	out, err := expt.RunScenario(sc, xrand.New(*seed), expt.RunOptions{Workers: *parallel, TickSkip: tickSkipOpt})
+	out, err := expt.RunScenario(sc, xrand.New(*seed), expt.RunOptions{Workers: *parallel})
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -66,6 +67,46 @@ func TestRunProtocolCongest(t *testing.T) {
 func TestRunProtocolLocalFakeAttack(t *testing.T) {
 	if err := run([]string{"run", "-proto", "local", "-n", "64", "-d", "8", "-byz", "2", "-attack", "fake"}); err != nil {
 		t.Fatalf("run local fake failed: %v", err)
+	}
+}
+
+// runOutput runs the CLI with args and returns what it printed to
+// stdout.
+func runOutput(t *testing.T, args ...string) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	printed := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		printed <- b
+	}()
+	stdout := os.Stdout
+	os.Stdout = w
+	runErr := run(args)
+	os.Stdout = stdout
+	w.Close()
+	out := <-printed
+	r.Close()
+	if runErr != nil {
+		t.Fatalf("%v: %v", args, runErr)
+	}
+	return string(out)
+}
+
+// TestRunLocalFakeDelayParallelIdentical: the LOCAL fake-network cell
+// under jittered virtual time prints the same report serially and on
+// four engine workers.
+func TestRunLocalFakeDelayParallelIdentical(t *testing.T) {
+	args := []string{"run", "-proto", "local", "-attack", "fake", "-byz", "4", "-n", "128", "-delay", "uniform:1-4"}
+	serial := runOutput(t, append(args, "-parallel", "1")...)
+	if !strings.Contains(serial, "delay=uniform:1-4") {
+		t.Fatalf("serial report is not a virtual-time run:\n%s", serial)
+	}
+	if par := runOutput(t, append(args, "-parallel", "4")...); par != serial {
+		t.Errorf("-parallel 4 report differs from -parallel 1:\n--- serial\n%s--- parallel\n%s", serial, par)
 	}
 }
 

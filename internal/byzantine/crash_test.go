@@ -78,7 +78,7 @@ func TestLocalCrashActsLikeMute(t *testing.T) {
 		t.Fatal(err)
 	}
 	params := counting.DefaultLocalParams(d)
-	outcomes := runLocal(t, g, crashing, params, func(v int) sim.Proc {
+	outcomes := runLocal(t, g, crashing, params, func(v int, _ sim.NodeID) sim.Proc {
 		return NewCrash(counting.NewLocalProc(params), 2)
 	}, 55)
 	correct := HonestMask(crashing)

@@ -198,28 +198,31 @@ func (w *FakeWorld) LayersMulti(roots []sim.NodeID) [][]sim.NodeID {
 // region's seals with genuine-looking timing. No inconsistency or degree
 // check can fire (provided the degree bound Delta exceeds the real
 // degree); only the expansion machinery can stop it.
+//
+// The omniscient adversary fabricates everything ahead of time: the node
+// attaches to the shared world when it is built, and during Run it only
+// reads the world, so every attached node steps independently.
 type FakeNetworkLocal struct {
 	world  *FakeWorld
-	edges  int // attachment edges claimed into the fake region
 	roots  []sim.NodeID
 	layers [][]sim.NodeID
 }
 
 var _ sim.Proc = (*FakeNetworkLocal)(nil)
-var _ sim.Sequential = (*FakeNetworkLocal)(nil)
 
-// StepsSequentially marks this adversary for the engine's sequential
-// pass: all attached nodes mutate one shared FakeWorld, and the
-// round-robin attachment order is part of the deterministic execution.
-func (f *FakeNetworkLocal) StepsSequentially() {}
-
-// NewFakeNetworkLocal returns a fake-network adversary bound to the
-// shared world, claiming `edges` attachment edges (clamped to >= 1).
-func NewFakeNetworkLocal(world *FakeWorld, edges int) *FakeNetworkLocal {
-	if edges < 1 {
-		edges = 1
+// NewFakeNetworkLocal returns a fake-network adversary for the node with
+// ID id, attached to world by `edges` attachment edges (clamped to >= 1).
+// Nodes must be built in the order their attachments are to be dealt
+// (ascending vertex order for an initial population). A nil world builds
+// an unattached node that only heartbeats — a churn joiner, which never
+// sees round 0 and so never announces an attachment.
+func NewFakeNetworkLocal(world *FakeWorld, id sim.NodeID, edges int) *FakeNetworkLocal {
+	f := &FakeNetworkLocal{world: world}
+	if world != nil {
+		f.roots = world.AttachK(id, edges)
+		f.layers = world.LayersMulti(f.roots)
 	}
-	return &FakeNetworkLocal{world: world, edges: edges}
+	return f
 }
 
 // Halted is always false.
@@ -229,8 +232,6 @@ func (f *FakeNetworkLocal) Halted() bool { return false }
 // BFS layer per subsequent round.
 func (f *FakeNetworkLocal) Step(env *sim.Env, round int, in []sim.Incoming) []sim.Outgoing {
 	if round == 0 {
-		f.roots = f.world.AttachK(env.ID, f.edges)
-		f.layers = f.world.LayersMulti(f.roots)
 		uniq := make(map[sim.NodeID]bool, len(env.NeighborIDs))
 		nbrs := make([]sim.NodeID, 0, len(env.NeighborIDs)+len(f.roots))
 		for _, id := range env.NeighborIDs {

@@ -1,22 +1,26 @@
 package byzantine
 
 import (
+	"maps"
+	"reflect"
+	"slices"
 	"testing"
 
 	"byzcount/internal/counting"
+	"byzcount/internal/dynamic"
 	"byzcount/internal/graph"
 	"byzcount/internal/sim"
 	"byzcount/internal/xrand"
 )
 
 func runLocal(t *testing.T, g *graph.Graph, byz []bool, params counting.LocalParams,
-	mkByz func(v int) sim.Proc, seed uint64) []counting.Outcome {
+	mkByz func(v int, id sim.NodeID) sim.Proc, seed uint64) []counting.Outcome {
 	t.Helper()
 	eng := sim.New(g, sim.WithSeed(seed))
 	procs := make([]sim.Proc, g.N())
 	for v := range procs {
 		if byz[v] {
-			procs[v] = mkByz(v)
+			procs[v] = mkByz(v, eng.ID(v))
 		} else {
 			procs[v] = counting.NewLocalProc(params)
 		}
@@ -140,8 +144,8 @@ func TestLocalFakeNetworkNarrowCutBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	params := counting.DefaultLocalParams(d + 2)
-	outcomes := runLocal(t, g, byz, params, func(v int) sim.Proc {
-		return NewFakeNetworkLocal(world, 1)
+	outcomes := runLocal(t, g, byz, params, func(v int, id sim.NodeID) sim.Proc {
+		return NewFakeNetworkLocal(world, id, 1)
 	}, 32)
 	honest := HonestMask(byz)
 	if frac := counting.DecidedFraction(outcomes, honest); frac < 0.99 {
@@ -179,8 +183,8 @@ func TestLocalFakeNetworkWideCutSweepIsTheDefense(t *testing.T) {
 		}
 		params := counting.DefaultLocalParams(delta)
 		params.EnableSweep = sweep
-		return runLocal(t, g, byz, params, func(v int) sim.Proc {
-			return NewFakeNetworkLocal(world, k)
+		return runLocal(t, g, byz, params, func(v int, id sim.NodeID) sim.Proc {
+			return NewFakeNetworkLocal(world, id, k)
 		}, seed)
 	}
 
@@ -203,7 +207,7 @@ func TestLocalSplitBrainDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	params := counting.DefaultLocalParams(d + 2)
-	outcomes := runLocal(t, g, byz, params, func(v int) sim.Proc {
+	outcomes := runLocal(t, g, byz, params, func(v int, _ sim.NodeID) sim.Proc {
 		return NewSplitBrainLocal(rng.SplitN("sb", v))
 	}, 36)
 	honest := HonestMask(byz)
@@ -238,7 +242,7 @@ func TestLocalDegreeLiarDetectedImmediately(t *testing.T) {
 		t.Fatal(err)
 	}
 	params := counting.DefaultLocalParams(d) // Delta = d: any extra edge is a lie
-	outcomes := runLocal(t, g, byz, params, func(v int) sim.Proc {
+	outcomes := runLocal(t, g, byz, params, func(v int, _ sim.NodeID) sim.Proc {
 		return NewDegreeLiarLocal(3, rng.SplitN("liar", v))
 	}, 39)
 	var byzV int
@@ -255,5 +259,134 @@ func TestLocalDegreeLiarDetectedImmediately(t *testing.T) {
 		if !o.Decided || o.Estimate != 1 {
 			t.Errorf("liar's neighbor %d decided %+v", v, o)
 		}
+	}
+}
+
+// worldState is a deep copy of a FakeWorld's attachment bookkeeping.
+type worldState struct {
+	attached map[sim.NodeID]sim.NodeID
+	backRefs map[sim.NodeID][]sim.NodeID
+	nextRoot int
+}
+
+func snapshotWorld(w *FakeWorld) worldState {
+	s := worldState{
+		attached: maps.Clone(w.attached),
+		backRefs: make(map[sim.NodeID][]sim.NodeID, len(w.backRefs)),
+		nextRoot: w.nextRoot,
+	}
+	for root, ids := range w.backRefs {
+		s.backRefs[root] = slices.Clone(ids)
+	}
+	return s
+}
+
+// TestFakeWorldReadOnlyDuringRun: the fake-network adversaries attach as
+// they are built, so a parallel run, synchronous or under virtual time,
+// leaves their shared world exactly as construction left it.
+func TestFakeWorldReadOnlyDuringRun(t *testing.T) {
+	const n, d, b = 96, 8, 5
+	g := testGraph(t, n, d, 61)
+	byz, err := RandomPlacement(g, b, xrand.New(62))
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := counting.DefaultLocalParams(d + 2)
+	for _, delay := range []sim.DelayModel{nil, sim.UniformDelay{Min: 1, Max: 3}} {
+		world, err := NewFakeWorld(2*n, d, d+2, b, xrand.New(63))
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := sim.New(g, sim.WithSeed(64), sim.WithParallelism(4))
+		if delay != nil {
+			eng.SetDelayModel(delay)
+		}
+		procs := make([]sim.Proc, n)
+		for v := range procs {
+			if byz[v] {
+				procs[v] = NewFakeNetworkLocal(world, eng.ID(v), 1)
+			} else {
+				procs[v] = counting.NewLocalProc(params)
+			}
+		}
+		before := snapshotWorld(world)
+		if len(before.attached) != b {
+			t.Fatalf("delay=%v: %d adversaries attached at construction, want %d", delay, len(before.attached), b)
+		}
+		if err := eng.Attach(procs); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.Run(params.MaxRounds + 8); err != nil {
+			t.Fatal(err)
+		}
+		if eng.Metrics().Messages == 0 {
+			t.Fatalf("delay=%v: run delivered no messages", delay)
+		}
+		if after := snapshotWorld(world); !reflect.DeepEqual(before, after) {
+			t.Errorf("delay=%v: Run changed the world's attachments:\nbefore %+v\nafter  %+v", delay, before, after)
+		}
+	}
+}
+
+// TestFakeWorldChurnHoldsInitialIDs: on a churn cell only the initial
+// Byzantine members attach. Byzantine joiners never see round 0, so they
+// are built unattached, and after a parallel run the world holds exactly
+// the initial Byzantine IDs.
+func TestFakeWorldChurnHoldsInitialIDs(t *testing.T) {
+	const n, d, b = 128, 8, 8
+	rng := xrand.New(71)
+	net, err := dynamic.NewNetwork(n, d, rng.Split("net"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mask, err := RandomPlacement(net, b, rng.Split("place"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	roster, err := NewRoster(mask, net.NumAlive(), float64(b)/n, rng.Split("roster"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	world, err := NewFakeWorld(2*n, d, d+2, b, rng.Split("world"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := counting.DefaultLocalParams(d + 2)
+	initial := true
+	want := map[sim.NodeID]bool{}
+	byzJoins := 0
+	run, err := dynamic.NewRunner(net, dynamic.Churn{Leaves: 2, Joins: 2, StopAfter: 40, Mixed: true}, 72,
+		func(slot dynamic.Slot, id sim.NodeID) sim.Proc {
+			if initial {
+				if !roster.IsByz(slot) {
+					return counting.NewLocalProc(params)
+				}
+				want[id] = true
+				return NewFakeNetworkLocal(world, id, 1)
+			}
+			if !roster.OnJoin(slot) {
+				return counting.NewLocalProc(params)
+			}
+			byzJoins++
+			return NewFakeNetworkLocal(nil, id, 1)
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	initial = false
+	run.SetLeaveHook(roster.OnLeave)
+	run.SetParallelism(4)
+	if _, err := run.Run(60); err != nil {
+		t.Fatal(err)
+	}
+	if byzJoins == 0 {
+		t.Fatal("no Byzantine joiner arrived; the check is vacuous")
+	}
+	got := map[sim.NodeID]bool{}
+	for id := range world.attached {
+		got[id] = true
+	}
+	if len(want) != b || !reflect.DeepEqual(got, want) {
+		t.Errorf("world holds %d attached IDs, want the %d initial Byzantine IDs (%d expected)", len(got), len(want), b)
 	}
 }

@@ -137,7 +137,7 @@ func E14(cfg Config) (*Table, error) {
 			params.MaxPhase = 12
 			r, err := runProtocol(g, nil, rng.Split("run").Uint64(),
 				func(v int, eng *sim.Engine) sim.Proc { return counting.NewCongestProc(params) },
-				nil2byz, congestMaxRounds(params), true)
+				nil, congestMaxRounds(params), true)
 			if err != nil {
 				return res{}, err
 			}

@@ -45,7 +45,7 @@ func E1(cfg Config) (*Table, error) {
 
 			benign, err := runProtocol(g, nil, rng.Split("benign").Uint64(),
 				func(v int, eng *sim.Engine) sim.Proc { return counting.NewLocalProc(params) },
-				nil2byz, params.MaxRounds+8, true)
+				nil, params.MaxRounds+8, true)
 			if err != nil {
 				return res{}, err
 			}
@@ -61,7 +61,7 @@ func E1(cfg Config) (*Table, error) {
 			}
 			attack, err := runProtocol(g, byz, rng.Split("attack").Uint64(),
 				func(v int, eng *sim.Engine) sim.Proc { return counting.NewLocalProc(params) },
-				func(v int, eng *sim.Engine) sim.Proc { return byzantine.NewFakeNetworkLocal(world, 1) },
+				func(v int, eng *sim.Engine) sim.Proc { return byzantine.NewFakeNetworkLocal(world, eng.ID(v), 1) },
 				params.MaxRounds+8, true)
 			if err != nil {
 				return res{}, err
@@ -91,9 +91,6 @@ func E1(cfg Config) (*Table, error) {
 		"bounded = estimate within [1, diam+3]; rounds and estimates must grow with log n")
 	return t, nil
 }
-
-// nil2byz is a placeholder byzProc for runs without Byzantine nodes.
-func nil2byz(v int, eng *sim.Engine) sim.Proc { return byzantine.Silent{} }
 
 // E2 — Theorem 1 tolerance sweep: vary gamma (so B = n^(1-gamma)) with
 // worst-case clustered placement.
@@ -139,7 +136,7 @@ func E2(cfg Config) (*Table, error) {
 			params := counting.DefaultLocalParams(delta)
 			r, err := runProtocol(g, byz, rng.Split("run").Uint64(),
 				func(v int, eng *sim.Engine) sim.Proc { return counting.NewLocalProc(params) },
-				func(v int, eng *sim.Engine) sim.Proc { return byzantine.NewFakeNetworkLocal(world, 1) },
+				func(v int, eng *sim.Engine) sim.Proc { return byzantine.NewFakeNetworkLocal(world, eng.ID(v), 1) },
 				params.MaxRounds+8, true)
 			if err != nil {
 				return res{}, err
@@ -378,7 +375,7 @@ func E5(cfg Config) (*Table, error) {
 			params := counting.DefaultCongestParams(d)
 			r, err := runProtocol(g, nil, rng.Split("run").Uint64(),
 				func(v int, eng *sim.Engine) sim.Proc { return counting.NewCongestProc(params) },
-				nil2byz, congestMaxRounds(params), false) // run to full halt
+				nil, congestMaxRounds(params), false) // run to full halt
 			if err != nil {
 				return res{}, err
 			}

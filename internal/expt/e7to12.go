@@ -146,14 +146,14 @@ func E9(cfg Config) (*Table, error) {
 			lp := counting.DefaultLocalParams(d)
 			lres, err := runProtocol(g, nil, rng.Split("l").Uint64(),
 				func(v int, eng *sim.Engine) sim.Proc { return counting.NewLocalProc(lp) },
-				nil2byz, lp.MaxRounds+8, true)
+				nil, lp.MaxRounds+8, true)
 			if err != nil {
 				return res{}, err
 			}
 			cp := counting.DefaultCongestParams(d)
 			cres, err := runProtocol(g, nil, rng.Split("c").Uint64(),
 				func(v int, eng *sim.Engine) sim.Proc { return counting.NewCongestProc(cp) },
-				nil2byz, congestMaxRounds(cp), false)
+				nil, congestMaxRounds(cp), false)
 			if err != nil {
 				return res{}, err
 			}
@@ -285,7 +285,7 @@ func E11(cfg Config) (*Table, error) {
 		params := counting.DefaultCongestParams(d)
 		res, err := runProtocol(g, nil, rng.Uint64(),
 			func(v int, eng *sim.Engine) sim.Proc { return counting.NewCongestProc(params) },
-			nil2byz, congestMaxRounds(params), true)
+			nil, congestMaxRounds(params), true)
 		if err != nil {
 			return 0, err
 		}

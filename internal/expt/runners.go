@@ -24,26 +24,18 @@ type runOutcome struct {
 // adversaries that need global knowledge (the omniscient-adversary model).
 type mkProc func(v int, eng *sim.Engine) sim.Proc
 
-// runProtocol wires processes onto a graph and runs. If stopWhenDecided
-// is true the run ends as soon as every honest Estimator has decided
-// (the decision-time metric of Definition 2); otherwise it runs until all
-// processes halt or maxRounds passes.
+// runProtocol wires processes onto a graph and runs serially. If
+// stopWhenDecided is true the run ends as soon as every honest Estimator
+// has decided (the decision-time metric of Definition 2); otherwise it
+// runs until all processes halt or maxRounds passes. byz may be nil (no
+// Byzantine nodes; byzProc is then never called).
 func runProtocol(g *graph.Graph, byz []bool, seed uint64, honestProc, byzProc mkProc,
 	maxRounds int, stopWhenDecided bool) (runOutcome, error) {
 	frac := 0.0
 	if stopWhenDecided {
 		frac = 1.0
 	}
-	return runProtocolFrac(g, byz, seed, honestProc, byzProc, maxRounds, frac)
-}
-
-// runProtocolFrac is runProtocol with a fractional stop condition: the
-// run ends once at least stopFrac of the honest nodes have decided
-// (Theorem 2 only promises (1-beta)n deciders — Byzantine-adjacent
-// stragglers may never decide on their own). stopFrac <= 0 runs to halt.
-func runProtocolFrac(g *graph.Graph, byz []bool, seed uint64, honestProc, byzProc mkProc,
-	maxRounds int, stopFrac float64) (runOutcome, error) {
-	return runProtocolFracPar(g, byz, seed, honestProc, byzProc, maxRounds, stopFrac, engineOpts{})
+	return runProtocolOnEngine(sim.New(g, sim.WithSeed(seed)), g.N(), byz, honestProc, byzProc, maxRounds, frac, engineOpts{})
 }
 
 // engineOpts is the execution-shape bundle RunScenario threads to the
@@ -54,12 +46,6 @@ type engineOpts struct {
 	workers int // 0 or 1 = serial
 	delay   sim.DelayModel
 	fault   sim.FaultModel
-	// tickSkip / tickSkipSet carry an explicit SetTickSkip request (the
-	// CLI's -tickskip). Explicit means fail-fast when the run cannot
-	// consult the knob: skip only exists on the virtual-time sparse path,
-	// which needs at least one TickDriven proc.
-	tickSkip    bool
-	tickSkipSet bool
 	// done, when non-nil, cancels the run cooperatively: the engine polls
 	// it each round and aborts with sim.ErrCanceled when it closes. The
 	// durable sweep driver uses it for per-cell timeouts and SIGTERM
@@ -67,26 +53,14 @@ type engineOpts struct {
 	done <-chan struct{}
 }
 
-// runProtocolFracPar is runProtocolFrac with explicit engine options
-// (executions are bit-identical for every worker count, so only the CLI
-// ever asks for parallelism).
-func runProtocolFracPar(g *graph.Graph, byz []bool, seed uint64, honestProc, byzProc mkProc,
-	maxRounds int, stopFrac float64, eo engineOpts) (runOutcome, error) {
-	return runProtocolOnEngine(sim.New(g, sim.WithSeed(seed)), g.N(), byz, honestProc, byzProc, maxRounds, stopFrac, eo)
-}
-
-// runProtocolFracParTopo is runProtocolFracPar over an implicit
-// topology: the engine resolves neighborhoods on demand instead of
-// ingesting a materialized CSR. Both sim.New dispatch paths assign IDs
-// from the same seed-derived stream in slot order, so over identical
-// adjacency the two paths produce byte-identical runs.
-func runProtocolFracParTopo(topo sim.Topology, byz []bool, seed uint64, honestProc, byzProc mkProc,
-	maxRounds int, stopFrac float64, eo engineOpts) (runOutcome, error) {
-	return runProtocolOnEngine(sim.New(topo, sim.WithSeed(seed)), topo.Slots(), byz, honestProc, byzProc, maxRounds, stopFrac, eo)
-}
-
 // runProtocolOnEngine is the substrate-independent protocol run body
-// shared by the static and implicit paths.
+// shared by the static and implicit paths (both sim.New dispatch paths
+// assign IDs from the same seed-derived stream in slot order, so over
+// identical adjacency they produce byte-identical runs). Processes are
+// built in ascending vertex order after every ID is assigned. The run
+// ends once at least stopFrac of the honest nodes have decided (Theorem
+// 2 only promises (1-beta)n deciders — Byzantine-adjacent stragglers may
+// never decide on their own); stopFrac <= 0 runs to halt.
 func runProtocolOnEngine(eng *sim.Engine, n int, byz []bool, honestProc, byzProc mkProc,
 	maxRounds int, stopFrac float64, eo engineOpts) (runOutcome, error) {
 	if eo.delay != nil {
@@ -109,17 +83,6 @@ func runProtocolOnEngine(eng *sim.Engine, n int, byz []bool, honestProc, byzProc
 	}
 	if err := eng.Attach(procs); err != nil {
 		return runOutcome{}, err
-	}
-	if eo.tickSkipSet {
-		// Fail fast instead of silently ignoring the knob: tick
-		// fast-forwarding only exists on the sparse virtual-time path,
-		// which engages when at least one proc is TickDriven.
-		if !eng.HasTickDriven() {
-			return runOutcome{}, fmt.Errorf(
-				"expt: -tickskip set but no attached process is TickDriven; " +
-					"tick fast-forwarding is structurally disabled for this protocol")
-		}
-		eng.SetTickSkip(eo.tickSkip)
 	}
 	honest := make([]bool, n)
 	for v := range honest {

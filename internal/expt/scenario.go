@@ -376,14 +376,17 @@ var Substrates = map[string]Substrate{
 // Adversary is one value of the adversary axis: what Byzantine nodes
 // do. Prepare (optional) builds state shared by every Byzantine node —
 // e.g. the consistent fake world. Proc builds the process occupying
-// vertex/slot v; implementations derive their randomness from
-// ctx.rng with fixed labels so runs are pure functions of the seed.
+// vertex/slot v with node ID id; initial is false only for churn
+// joiners. Procs are built before Run, initial ones in ascending slot
+// order, so shared state is fixed there and only read while the engine
+// runs. Implementations derive their randomness from ctx.rng with fixed
+// labels so runs are pure functions of the seed.
 type Adversary struct {
 	Name string
 	// NeedsSchedule marks adversaries driven by the CONGEST schedule.
 	NeedsSchedule bool
 	Prepare       func(ctx *scenarioCtx) error
-	Proc          func(ctx *scenarioCtx, v int) sim.Proc
+	Proc          func(ctx *scenarioCtx, v int, id sim.NodeID, initial bool) sim.Proc
 }
 
 // Adversaries is the adversary-axis registry.
@@ -393,7 +396,7 @@ var Adversaries = map[string]Adversary{
 	// (label "spam", indexed by vertex/slot).
 	"spam": {
 		Name: "spam", NeedsSchedule: true,
-		Proc: func(ctx *scenarioCtx, v int) sim.Proc {
+		Proc: func(ctx *scenarioCtx, v int, _ sim.NodeID, _ bool) sim.Proc {
 			return byzantine.NewBeaconSpammer(ctx.congest.Schedule, 6, false, ctx.rng.SplitN("spam", v))
 		},
 	},
@@ -402,17 +405,18 @@ var Adversaries = map[string]Adversary{
 	// independent stream instance).
 	"spam-shared": {
 		Name: "spam-shared", NeedsSchedule: true,
-		Proc: func(ctx *scenarioCtx, v int) sim.Proc {
+		Proc: func(ctx *scenarioCtx, v int, _ sim.NodeID, _ bool) sim.Proc {
 			return byzantine.NewBeaconSpammer(ctx.congest.Schedule, 6, false, ctx.rng.Split("run").Split("spamr"))
 		},
 	},
 	"silent": {
 		Name: "silent",
-		Proc: func(ctx *scenarioCtx, v int) sim.Proc { return byzantine.Silent{} },
+		Proc: func(ctx *scenarioCtx, v int, _ sim.NodeID, _ bool) sim.Proc { return byzantine.Silent{} },
 	},
 	// The consistent fake-network attack of Remark 1 (LOCAL protocol):
 	// all Byzantine nodes share one fabricated region, built from the
-	// "world" stream.
+	// "world" stream. Initial nodes attach as they are built; churn
+	// joiners never see round 0, so they attach nothing and heartbeat.
 	"fake": {
 		Name: "fake",
 		Prepare: func(ctx *scenarioCtx) error {
@@ -425,7 +429,12 @@ var Adversaries = map[string]Adversary{
 			ctx.world = world
 			return nil
 		},
-		Proc: func(ctx *scenarioCtx, v int) sim.Proc { return byzantine.NewFakeNetworkLocal(ctx.world, 1) },
+		Proc: func(ctx *scenarioCtx, v int, id sim.NodeID, initial bool) sim.Proc {
+			if !initial {
+				return byzantine.NewFakeNetworkLocal(nil, id, 1)
+			}
+			return byzantine.NewFakeNetworkLocal(ctx.world, id, 1)
+		},
 	},
 	// Fail-stop churn: the node runs the honest protocol and crashes at
 	// a random round — the E13 convention ("when"/"c", per vertex).
@@ -435,32 +444,32 @@ var Adversaries = map[string]Adversary{
 			ctx.when = ctx.rng.Split("when")
 			return nil
 		},
-		Proc: func(ctx *scenarioCtx, v int) sim.Proc {
+		Proc: func(ctx *scenarioCtx, v int, _ sim.NodeID, _ bool) sim.Proc {
 			honest := Protocols[ctx.sc.withDefaults().Proto].Proc(ctx, v)
 			return byzantine.NewCrash(honest, 20+ctx.when.SplitN("c", v).Intn(200))
 		},
 	},
 	"geo-max": {
 		Name: "geo-max",
-		Proc: func(ctx *scenarioCtx, v int) sim.Proc {
+		Proc: func(ctx *scenarioCtx, v int, _ sim.NodeID, _ bool) sim.Proc {
 			return &byzantine.GeoMaxFaker{FakeValue: 1 << 20, Period: 1}
 		},
 	},
 	"support-min": {
 		Name: "support-min",
-		Proc: func(ctx *scenarioCtx, v int) sim.Proc {
+		Proc: func(ctx *scenarioCtx, v int, _ sim.NodeID, _ bool) sim.Proc {
 			return &byzantine.SupportMinFaker{K: 32, Period: 4}
 		},
 	},
 	"kmv-poison": {
 		Name: "kmv-poison",
-		Proc: func(ctx *scenarioCtx, v int) sim.Proc {
+		Proc: func(ctx *scenarioCtx, v int, _ sim.NodeID, _ bool) sim.Proc {
 			return &byzantine.KMVPoisoner{K: 32, Period: 4}
 		},
 	},
 	"tree-inflate": {
 		Name: "tree-inflate",
-		Proc: func(ctx *scenarioCtx, v int) sim.Proc {
+		Proc: func(ctx *scenarioCtx, v int, _ sim.NodeID, _ bool) sim.Proc {
 			return &byzantine.TreeCountInflater{Inflation: 1 << 20}
 		},
 	},
@@ -529,15 +538,6 @@ type RunOptions struct {
 	// Workers is the engine's Step-shard worker count (0 or 1 = serial;
 	// outputs are bit-identical for every value).
 	Workers int
-	// TickSkip, when non-nil, explicitly sets virtual-tick
-	// fast-forwarding (default on; transcripts are byte-identical either
-	// way, only Metrics.TicksSkipped and wall time differ). An explicit
-	// setting on a run that structurally cannot consult it — a
-	// synchronous cell, a churn cell (the between-rounds hook pins the
-	// dense cadence), or a protocol with no TickDriven procs — is an
-	// error rather than a silent no-op. It is an execution-shape option,
-	// not a Scenario axis, for exactly that transcript-equality reason.
-	TickSkip *bool
 	// Context, when non-nil, cancels the run cooperatively: the engine
 	// polls ctx.Done() every round and aborts with sim.ErrCanceled once
 	// it is closed. Cancellation is an execution-shape option by the same
@@ -578,20 +578,6 @@ func RunScenario(sc Scenario, rng *xrand.Rand, opts RunOptions) (*ScenarioOutcom
 	}
 	eo.delay, _ = sim.ParseDelayModel(sc.Delay)
 	eo.fault, _ = sim.ParseFaultModel(sc.Fault)
-	if opts.TickSkip != nil {
-		if eo.delay == nil && eo.fault == nil {
-			return nil, fmt.Errorf(
-				"expt: -tickskip set on a synchronous cell; tick fast-forwarding " +
-					"only exists under the virtual-time scheduler (pass -delay or -fault)")
-		}
-		if sc.Churn.Active() || sc.Dynamic {
-			return nil, fmt.Errorf(
-				"expt: -tickskip set on a churn cell; the between-rounds churn hook " +
-					"pins the dense tick cadence, so fast-forwarding is structurally disabled")
-		}
-		eo.tickSkip = *opts.TickSkip
-		eo.tickSkipSet = true
-	}
 	if sc.Churn.Active() || sc.Dynamic {
 		return runScenarioChurn(sc, ctx, proto, adv, eo)
 	}
@@ -633,9 +619,9 @@ func runScenarioImplicit(sc Scenario, ctx *scenarioCtx, proto Protocol, adv Adve
 	if maxRounds == 0 {
 		maxRounds = proto.MaxRounds(ctx)
 	}
-	r, err := runProtocolFracParTopo(topo, byz, ctx.rng.Split("run").Uint64(),
+	r, err := runProtocolOnEngine(sim.New(topo, sim.WithSeed(ctx.rng.Split("run").Uint64())), topo.Slots(), byz,
 		func(v int, eng *sim.Engine) sim.Proc { return proto.Proc(ctx, v) },
-		func(v int, eng *sim.Engine) sim.Proc { return adv.Proc(ctx, v) },
+		func(v int, eng *sim.Engine) sim.Proc { return adv.Proc(ctx, v, eng.ID(v), true) },
 		maxRounds, sc.StopFrac, eo)
 	if err != nil {
 		return nil, err
@@ -685,9 +671,9 @@ func runScenarioStatic(sc Scenario, ctx *scenarioCtx, proto Protocol, adv Advers
 	if maxRounds == 0 {
 		maxRounds = proto.MaxRounds(ctx)
 	}
-	r, err := runProtocolFracPar(g, byz, ctx.rng.Split("run").Uint64(),
+	r, err := runProtocolOnEngine(sim.New(g, sim.WithSeed(ctx.rng.Split("run").Uint64())), g.N(), byz,
 		func(v int, eng *sim.Engine) sim.Proc { return proto.Proc(ctx, v) },
-		func(v int, eng *sim.Engine) sim.Proc { return adv.Proc(ctx, v) },
+		func(v int, eng *sim.Engine) sim.Proc { return adv.Proc(ctx, v, eng.ID(v), true) },
 		maxRounds, sc.StopFrac, eo)
 	if err != nil {
 		return nil, err
@@ -752,7 +738,7 @@ func runScenarioChurn(sc Scenario, ctx *scenarioCtx, proto Protocol, adv Adversa
 			joinOrd++
 		}
 		if isByz {
-			return adv.Proc(ctx, slot)
+			return adv.Proc(ctx, slot, id, initial)
 		}
 		return proto.Proc(ctx, slot)
 	}

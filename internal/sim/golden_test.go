@@ -6,8 +6,9 @@ package sim_test
 // per-node outcomes, same inbox delivery order. One CONGEST counting
 // scenario (edge capacity enforced, beacon spammers, so cap decisions
 // are exercised) and one LOCAL counting scenario (fake-network
-// adversaries sharing a mutable world, so the Sequential pass is
-// exercised) are each run serially and with several worker counts.
+// adversaries reading one shared fabricated world, synchronous and under
+// jittered virtual time) are each run serially and with several worker
+// counts.
 
 import (
 	"reflect"
@@ -117,9 +118,20 @@ func TestGoldenCongestSerialParallel(t *testing.T) {
 
 // TestGoldenLocalSerialParallel: the deterministic LOCAL counting
 // protocol under the consistent fake-network attack. The adversaries
-// share one mutable FakeWorld and are marked Sequential, so this pins
-// down the parallel engine's in-order sequential pass.
-func TestGoldenLocalSerialParallel(t *testing.T) {
+// attach to one shared FakeWorld as they are built and only read it
+// while the engine runs, so they step in parallel like any other proc.
+func TestGoldenLocalSerialParallel(t *testing.T) { goldenLocal(t, nil) }
+
+// TestGoldenLocalSerialParallelVT is the same cell under jittered
+// virtual-time delivery, where the parallel lane runs the sharded ring.
+func TestGoldenLocalSerialParallelVT(t *testing.T) {
+	goldenLocal(t, sim.UniformDelay{Min: 1, Max: 3})
+}
+
+// goldenLocal runs the LOCAL fake-network cell serially and at every
+// worker count, with delay installed when non-nil.
+func goldenLocal(t *testing.T, delay sim.DelayModel) {
+	t.Helper()
 	const n, d = 96, 8
 	delta := d + 2
 	g := mustHND(t, n, d, 2001)
@@ -130,7 +142,10 @@ func TestGoldenLocalSerialParallel(t *testing.T) {
 	}
 	params := counting.DefaultLocalParams(delta)
 	build := func(eng *sim.Engine) []sim.Proc {
-		// A fresh world per run: the engine mutates it through AttachK.
+		if delay != nil {
+			eng.SetDelayModel(delay)
+		}
+		// A fresh world per run: building the adversaries attaches them.
 		world, err := byzantine.NewFakeWorld(2*n, d, delta, 5, xrand.New(2003))
 		if err != nil {
 			t.Fatal(err)
@@ -138,7 +153,7 @@ func TestGoldenLocalSerialParallel(t *testing.T) {
 		procs := make([]sim.Proc, n)
 		for v := range procs {
 			if byz[v] {
-				procs[v] = byzantine.NewFakeNetworkLocal(world, 1)
+				procs[v] = byzantine.NewFakeNetworkLocal(world, eng.ID(v), 1)
 			} else {
 				procs[v] = counting.NewLocalProc(params)
 			}

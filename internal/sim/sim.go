@@ -254,14 +254,11 @@ type Proc interface {
 	Halted() bool
 }
 
-// Sequential marks processes whose Step must not run concurrently with
-// other processes' Steps — typically adversaries sharing one mutable
-// structure (e.g. the consistent fake world of the Remark 1 attack,
-// where attachment order is observable). The parallel engine steps every
-// Sequential process on a single goroutine in ascending vertex order,
-// which is exactly the serial engine's mutation order, so executions
-// stay bit-identical. Processes whose state is strictly per-vertex need
-// not (and should not) implement this.
+// Sequential is a former engine marker for processes that shared
+// mutable state across vertices.
+//
+// Deprecated: the engine steps every process independently and never
+// checks this interface; shared adversary state is fixed before Run.
 type Sequential interface {
 	StepsSequentially()
 }
@@ -506,10 +503,7 @@ type Engine struct {
 	workers int            // requested Step-shard workers; <=1 means serial
 	ranges  [][2]int       // contiguous vertex ranges, one per worker
 	shardOf []int32        // vertex -> owning range index
-	seq     []int          // vertices whose procs implement Sequential, ascending
-	isSeq   []bool         // membership mask for seq
-	ws      []*workerState // one per range worker, plus one for seq, plus [0] reused serially
-	acc     [][]routed     // per-sender outboxes (fallback rounds with Sequential procs)
+	ws      []*workerState // one per range worker; [0] serves serial rounds
 
 	// vtbReserve, when positive, is the per-bucket capacity every
 	// per-(worker, destination-shard, ring-slot) outbox is pre-sized to
@@ -519,14 +513,14 @@ type Engine struct {
 
 	// Persistent worker pool. Spawning goroutines per round allocates
 	// (closure + scheduler bookkeeping), which alone breaks the
-	// zero-allocs-per-round contract; instead Run starts len(ranges)+1
+	// zero-allocs-per-round contract; instead Run starts len(ranges)
 	// workers once, parks them on their wake channels, and drives each
 	// round's step and merge phases by sending phase tokens. Channel
 	// sends of small scalars and WaitGroup operations allocate nothing,
 	// so a steady-state parallel round performs zero heap allocations.
 	// The pool lives exactly as long as one Run call (started after
 	// ensureState, stopped on return), so engines never leak goroutines.
-	wake   []chan poolPhase // one per worker; worker len(ranges) is the Sequential pass
+	wake   []chan poolPhase // one per range worker
 	poolWG sync.WaitGroup   // completion barrier for each dispatched phase
 	round  int              // round being executed, published via dispatch
 	pool   bool             // workers currently parked on wake
@@ -537,9 +531,7 @@ type poolPhase uint8
 
 const (
 	phaseStepBuckets   poolPhase = iota // step contiguous range into shard buckets
-	phaseStepScan                       // step range into per-vertex outboxes (Sequential fallback)
 	phaseMergeBuckets                   // merge this worker's destination shard from buckets
-	phaseMergeScan                      // merge this worker's destination range from outboxes
 	phaseStepVT                         // step contiguous range into per-(shard, ring-slot) buckets
 	phaseMergeVT                        // merge this worker's destination shard into the ring
 	phaseStepVTSparse                   // step only occupied/always-step vertices of the range
@@ -550,15 +542,6 @@ const (
 // ErrSizeMismatch is returned when the number of attached processes does
 // not equal the number of graph vertices.
 var ErrSizeMismatch = errors.New("sim: process count does not match vertex count")
-
-// ErrSequentialVirtualTime is returned by Run when Sequential processes
-// are attached to a parallel virtual-time engine. The sequential pass
-// steps scattered vertices on one extra goroutine; interleaving its
-// sends into the per-shard ring buckets in exact sender order would
-// serialize the merge, so the combination is rejected rather than
-// supported slowly — run such scenarios serially (the serial
-// virtual-time engine handles Sequential processes fine).
-var ErrSequentialVirtualTime = errors.New("sim: Sequential processes require serial execution under virtual time")
 
 // ErrCanceled is returned by Run when the channel installed with
 // SetCancel closes mid-run. The engine stops on a round boundary, so
@@ -709,16 +692,10 @@ func (e *Engine) Attach(procs []Proc) error {
 		return fmt.Errorf("%w: %d processes for %d vertices", ErrSizeMismatch, len(procs), e.n)
 	}
 	e.procs = procs
-	e.ws = nil // worker scratch depends on which procs are Sequential
-	e.seq = e.seq[:0]
-	e.isSeq = make([]bool, len(procs))
+	e.ws = nil // ensureState re-derives the sparse lane from the new procs
 	e.alwaysStep = e.alwaysStep[:0]
 	e.isTD = make([]bool, len(procs))
 	for v, p := range procs {
-		if _, ok := p.(Sequential); ok {
-			e.seq = append(e.seq, v)
-			e.isSeq[v] = true
-		}
 		if _, ok := p.(TickDriven); ok {
 			e.isTD[v] = true
 		} else if p != nil {
@@ -774,12 +751,6 @@ func (e *Engine) Detach(v int) error {
 				}
 			}
 			e.ring[s][v] = row[:0]
-		}
-	}
-	if e.isSeq != nil && e.isSeq[v] {
-		e.isSeq[v] = false
-		if i := slices.Index(e.seq, v); i >= 0 {
-			e.seq = slices.Delete(e.seq, i, i+1)
 		}
 	}
 	return nil
@@ -849,20 +820,6 @@ func (e *Engine) AttachAt(v int, id NodeID, p Proc) error {
 			e.alwaysStep = slices.Insert(e.alwaysStep, i, int32(v))
 		}
 	}
-	if _, ok := p.(Sequential); ok {
-		if e.isSeq == nil || len(e.isSeq) < e.n {
-			grown := make([]bool, e.n)
-			copy(grown, e.isSeq)
-			e.isSeq = grown
-		}
-		e.isSeq[v] = true
-		if i, found := slices.BinarySearch(e.seq, v); !found {
-			e.seq = slices.Insert(e.seq, i, v)
-		}
-		if len(e.ranges) > 1 && len(e.acc) < e.n {
-			e.acc = make([][]routed, e.n)
-		}
-	}
 	e.patchNeighborIDs(v)
 	return nil
 }
@@ -916,9 +873,6 @@ func (e *Engine) growTo(m int) {
 		e.metrics.PerNodeMaxBit = append(e.metrics.PerNodeMaxBit, 0)
 		if e.epochOf != nil {
 			e.epochOf = append(e.epochOf, staleEpoch)
-		}
-		if e.isSeq != nil {
-			e.isSeq = append(e.isSeq, false)
 		}
 		if e.isTD != nil {
 			e.isTD = append(e.isTD, false)
@@ -1132,10 +1086,10 @@ func (e *Engine) vtMode() bool { return e.delay != nil || e.fault != nil }
 // SetParallelism sets the number of Step-shard workers used by Run.
 // Values <= 1 select the serial engine. Parallel execution is
 // deterministic and bit-identical to serial execution for any worker
-// count: vertices are stepped concurrently into per-vertex outboxes that
-// are merged in ascending sender order, and processes that share mutable
-// state across vertices (see Sequential) are stepped on one goroutine in
-// vertex order.
+// count: each worker steps a contiguous vertex range into
+// per-destination-shard buckets, and the buckets are merged in ascending
+// sender order. Every process steps independently, so a process must not
+// mutate state shared with other vertices during Run.
 func (e *Engine) SetParallelism(workers int) {
 	if workers < 1 {
 		workers = 1
@@ -1191,7 +1145,7 @@ func (e *Engine) Metrics() Metrics { return e.metrics }
 // admit validates one outgoing message from v against the topology and
 // the per-edge capacity, accumulating metrics into ws. It returns whether
 // the message is delivered. The caller must have stamped v's neighbors
-// into ws.nbrMark under ws.gen (see stepVertexInto). The decision
+// into ws.nbrMark under ws.gen (see stepVertex). The decision
 // depends only on v's own this-round traffic, so it is identical
 // however vertices are scheduled.
 func (e *Engine) admit(ws *workerState, v int, msg *Outgoing) bool {
@@ -1245,8 +1199,7 @@ func (e *Engine) ensureState() {
 		lo, hi := i*n/w, (i+1)*n/w
 		e.ranges = append(e.ranges, [2]int{lo, hi})
 	}
-	// One state per range worker plus one for the sequential pass.
-	e.ws = make([]*workerState, w+1)
+	e.ws = make([]*workerState, w)
 	for i := range e.ws {
 		e.ws[i] = &workerState{buckets: make([][]routed, w)}
 	}
@@ -1256,9 +1209,6 @@ func (e *Engine) ensureState() {
 			for v := r[0]; v < r[1]; v++ {
 				e.shardOf[v] = int32(i)
 			}
-		}
-		if len(e.seq) > 0 && len(e.acc) < n {
-			e.acc = make([][]routed, n)
 		}
 	}
 	if e.vtMode() {
@@ -1276,7 +1226,7 @@ func (e *Engine) ensureState() {
 		// lanes append single-threaded, the parallel lanes fold
 		// occupancy in during the merge phase, where each worker owns
 		// exactly its destination shard's overlay region.
-		e.sparse = e.hasTickDriven()
+		e.sparse = e.HasTickDriven()
 		if e.sparse {
 			e.ensureOccupancy()
 		}
@@ -1494,8 +1444,7 @@ func (e *Engine) stepVertex(v, r int, ws *workerState) []Outgoing {
 }
 
 // stepVertexBuckets steps one vertex, admitting its output into the
-// worker's per-destination-shard buckets (the fast path: no Sequential
-// procs, buckets are worker-private).
+// worker's private per-destination-shard buckets.
 func (e *Engine) stepVertexBuckets(v, r int, ws *workerState) {
 	out := e.stepVertex(v, r, ws)
 	for i := range out {
@@ -1511,24 +1460,7 @@ func (e *Engine) stepVertexBuckets(v, r int, ws *workerState) {
 	}
 }
 
-// stepVertexInto steps one vertex, admitting its output into its private
-// outbox acc[v]. Used by the parallel round's fallback path when
-// Sequential procs are attached (their vertices are scattered across
-// ranges, so per-vertex outboxes are what keeps the merge order exact).
-func (e *Engine) stepVertexInto(v, r int, ws *workerState) {
-	out := e.stepVertex(v, r, ws)
-	for i := range out {
-		msg := &out[i]
-		if e.admit(ws, v, msg) {
-			e.acc[v] = append(e.acc[v], routed{to: int32(msg.To), from: int32(v), payload: msg.Payload})
-		}
-	}
-	if cap(out) > cap(e.envs[v].scratch) {
-		e.envs[v].scratch = out[:0]
-	}
-}
-
-// startPool parks len(ranges)+1 workers on their wake channels. Wake
+// startPool parks len(ranges) workers on their wake channels. Wake
 // channels are engine-owned and reused across Runs (recreated only when
 // the worker count changes), so restarting the pool costs one goroutine
 // spawn per worker and nothing per round.
@@ -1537,13 +1469,13 @@ func (e *Engine) startPool() {
 		return
 	}
 	w := len(e.ranges)
-	if len(e.wake) != w+1 {
-		e.wake = make([]chan poolPhase, w+1)
+	if len(e.wake) != w {
+		e.wake = make([]chan poolPhase, w)
 		for i := range e.wake {
 			e.wake[i] = make(chan poolPhase, 1)
 		}
 	}
-	for i := 0; i <= w; i++ {
+	for i := 0; i < w; i++ {
 		go e.poolWorker(i)
 	}
 	e.pool = true
@@ -1570,66 +1502,32 @@ func (e *Engine) dispatch(ph poolPhase) {
 	e.poolWG.Wait()
 }
 
-// poolWorker is the body of pool worker i. Workers 0..w-1 own vertex
-// range i during step phases and destination shard/range i during merge
-// phases; worker w steps the Sequential vertices in ascending vertex
-// order (the serial mutation order) and idles through merges.
+// poolWorker is the body of pool worker i: it owns vertex range i during
+// step phases and destination shard i during merge phases.
 func (e *Engine) poolWorker(i int) {
-	w := len(e.ranges)
 	for ph := range e.wake[i] {
 		switch ph {
 		case phaseExit:
 			e.poolWG.Done()
 			return
 		case phaseStepBuckets:
-			if i < w {
-				ws := e.ws[i]
-				for v := e.ranges[i][0]; v < e.ranges[i][1]; v++ {
-					e.stepVertexBuckets(v, e.round, ws)
-				}
-			}
-		case phaseStepScan:
-			if i < w {
-				ws := e.ws[i]
-				for v := e.ranges[i][0]; v < e.ranges[i][1]; v++ {
-					if e.isSeq[v] {
-						continue
-					}
-					e.stepVertexInto(v, e.round, ws)
-				}
-			} else {
-				ws := e.ws[w]
-				for _, v := range e.seq {
-					e.stepVertexInto(v, e.round, ws)
-				}
+			ws := e.ws[i]
+			for v := e.ranges[i][0]; v < e.ranges[i][1]; v++ {
+				e.stepVertexBuckets(v, e.round, ws)
 			}
 		case phaseMergeBuckets:
-			if i < w {
-				e.mergeShard(i)
-			}
-		case phaseMergeScan:
-			if i < w {
-				e.mergeRange(i)
-			}
+			e.mergeShard(i)
 		case phaseStepVT:
-			if i < w {
-				ws := e.ws[i]
-				for v := e.ranges[i][0]; v < e.ranges[i][1]; v++ {
-					e.stepVertexVT(v, e.round, ws)
-				}
+			ws := e.ws[i]
+			for v := e.ranges[i][0]; v < e.ranges[i][1]; v++ {
+				e.stepVertexVT(v, e.round, ws)
 			}
 		case phaseMergeVT:
-			if i < w {
-				e.mergeShardVT(i)
-			}
+			e.mergeShardVT(i)
 		case phaseStepVTSparse:
-			if i < w {
-				e.stepShardSparseVT(i)
-			}
+			e.stepShardSparseVT(i)
 		case phaseMergeVTSparse:
-			if i < w {
-				e.mergeShardVTSparse(i)
-			}
+			e.mergeShardVTSparse(i)
 		}
 		e.poolWG.Done()
 	}
@@ -1678,33 +1576,12 @@ func (e *Engine) mergeShardVT(s int) {
 	}
 }
 
-// mergeRange scans all senders in ascending order and delivers the
-// messages addressed into destination range i (the Sequential fallback's
-// merge, where admitted messages sit in per-vertex outboxes).
-func (e *Engine) mergeRange(i int) {
-	lo, hi := e.ranges[i][0], e.ranges[i][1]
-	for v := 0; v < e.n; v++ {
-		for _, m := range e.acc[v] {
-			to := int(m.to)
-			if to < lo || to >= hi {
-				continue
-			}
-			e.next[to] = append(e.next[to], Incoming{
-				From:    v,
-				FromID:  e.ids[v],
-				Payload: m.payload,
-			})
-		}
-	}
-}
-
 // roundParallel executes one round with the sharded worker pool:
 //
 //  1. Step phase — each worker steps a contiguous vertex range into
-//     per-(worker, destination-shard) buckets; Sequential processes run
-//     on one extra worker in ascending vertex order (the serial mutation
-//     order). Admission (neighbor check, edge-capacity budget) is
-//     sender-local, so each decision is identical to the serial engine's.
+//     per-(worker, destination-shard) buckets. Admission (neighbor check,
+//     edge-capacity budget) is sender-local, so each decision is
+//     identical to the serial engine's.
 //  2. Merge phase — each worker owns a contiguous destination shard and
 //     drains senders in ascending order, so every inbox receives its
 //     messages in exactly the serial delivery order.
@@ -1717,16 +1594,8 @@ func (e *Engine) roundParallel(r int) bool {
 	for _, ws := range e.ws {
 		ws.allHalted = true
 	}
-	if len(e.seq) == 0 {
-		e.dispatch(phaseStepBuckets)
-		e.dispatch(phaseMergeBuckets)
-	} else {
-		e.dispatch(phaseStepScan)
-		e.dispatch(phaseMergeScan)
-		for v := range e.acc {
-			e.acc[v] = e.acc[v][:0]
-		}
-	}
+	e.dispatch(phaseStepBuckets)
+	e.dispatch(phaseMergeBuckets)
 	allHalted := true
 	for _, ws := range e.ws {
 		allHalted = allHalted && ws.allHalted
@@ -1739,9 +1608,8 @@ func (e *Engine) roundParallel(r int) bool {
 // per-(worker, destination-shard, ring-slot) buckets, and the merge
 // phase drains them into the ring (see mergeShardVT for the ordering
 // argument). e.cur is aliased to the tick's ring slot so stepVertex —
-// shared with the legacy parallel round — reads and truncates the right
-// inboxes. Sequential processes are rejected before dispatch (see
-// ErrSequentialVirtualTime), so only the bucket path exists here.
+// shared with the synchronous parallel round — reads and truncates the
+// right inboxes.
 func (e *Engine) roundParallelVT(r int) bool {
 	e.round = r
 	e.tick = e.metrics.Rounds
@@ -1838,11 +1706,6 @@ func (e *Engine) Run(maxRounds int) (int, error) {
 		var allHalted bool
 		switch {
 		case vt:
-			// Checked every round, not just up front: a between-rounds
-			// hook may AttachAt a Sequential process mid-run.
-			if parallel && len(e.seq) > 0 {
-				return r, ErrSequentialVirtualTime
-			}
 			// Fast-forward: an empty slot (an O(shards) occCnt
 			// reduction) plus an all-TickDriven live population means
 			// executing this tick would step nothing and deliver

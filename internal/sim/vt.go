@@ -646,8 +646,10 @@ func (e *Engine) mergeShardVTSparse(s int) {
 	}
 }
 
-// hasTickDriven reports whether any attached proc carries the marker.
-func (e *Engine) hasTickDriven() bool {
+// HasTickDriven reports whether any currently attached process carries
+// the TickDriven marker — i.e. whether sparse delivery is active and
+// tick fast-forwarding can ever engage on this engine.
+func (e *Engine) HasTickDriven() bool {
 	for v := range e.isTD {
 		if e.isTD[v] && e.procs[v] != nil {
 			return true
@@ -655,14 +657,6 @@ func (e *Engine) hasTickDriven() bool {
 	}
 	return false
 }
-
-// HasTickDriven reports whether any currently attached process carries
-// the TickDriven marker — i.e. whether sparse delivery is active and
-// tick fast-forwarding can ever engage on this engine. The CLI uses it
-// to fail fast when -tickskip is requested for a protocol whose
-// processes are all round-driven (fast-forwarding would be structurally
-// inert, so an explicit request for it is a configuration error).
-func (e *Engine) HasTickDriven() bool { return e.hasTickDriven() }
 
 // SetTickSkip enables or disables virtual-tick fast-forwarding (default
 // on). Skipping never changes transcripts or metrics other than

@@ -14,12 +14,9 @@ package sim_test
 // arrive exactly d ticks later, jittered and region/GST schedules are
 // identical at every worker count, partitions drop cross-group traffic
 // during exactly their window, drop faults count in Dropped but never
-// in Messages, Sequential procs under parallel virtual time are
-// rejected with the typed error, and the spec-string grammar
-// round-trips.
+// in Messages, and the spec-string grammar round-trips.
 
 import (
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"reflect"
@@ -348,41 +345,6 @@ func TestVTPartitionWindow(t *testing.T) {
 	wantDropped := int64(4 * 2 * (heal - from)) // 4 senders x 2 edges x window
 	if m.Dropped != wantDropped {
 		t.Errorf("Dropped = %d, want %d", m.Dropped, wantDropped)
-	}
-}
-
-// seqProbe is a proberProc that opts into the Sequential contract.
-type seqProbe struct{ proberProc }
-
-func (*seqProbe) StepsSequentially() {}
-
-// TestVTSequentialParallelRejected pins the typed error: Sequential
-// processes on a parallel virtual-time engine are rejected, and the
-// same scenario runs fine serially.
-func TestVTSequentialParallelRejected(t *testing.T) {
-	build := func(workers int) *sim.Engine {
-		g := mustHND(t, 64, 4, 5)
-		eng := sim.New(g, sim.WithSeed(5),
-			sim.WithParallelism(workers),
-			sim.WithDelayModel(sim.UniformDelay{Min: 1, Max: 2}))
-		procs := make([]sim.Proc, 64)
-		for v := range procs {
-			if v == 0 {
-				procs[v] = &seqProbe{proberProc{sendIn: func(int) bool { return true }}}
-			} else {
-				procs[v] = &proberProc{sendIn: func(int) bool { return true }}
-			}
-		}
-		if err := eng.Attach(procs); err != nil {
-			t.Fatal(err)
-		}
-		return eng
-	}
-	if _, err := build(4).Run(10); !errors.Is(err, sim.ErrSequentialVirtualTime) {
-		t.Errorf("parallel run error = %v, want ErrSequentialVirtualTime", err)
-	}
-	if _, err := build(1).Run(10); err != nil {
-		t.Errorf("serial run error = %v, want nil", err)
 	}
 }
 
