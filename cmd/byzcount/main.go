@@ -417,7 +417,7 @@ func runCmd(args []string) error {
 		delaySpec = fmt.Sprintf("gst:%d/%s", *gst, inner)
 	}
 	faultSpec := *fault
-	if faultSpec == "" && *drop > 0 {
+	if faultSpec == "" && *drop != 0 { // NaN and negatives reach the parser, which rejects them
 		faultSpec = fmt.Sprintf("drop:%g", *drop)
 	}
 	adversary, err := resolveAttack(*attack, *proto)

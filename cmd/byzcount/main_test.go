@@ -255,3 +255,20 @@ func TestGraphCmdWritesEdgeList(t *testing.T) {
 		t.Errorf("edge list line count wrong:\n%s", data)
 	}
 }
+
+// TestRunRejectsBadProbabilities: a NaN or out-of-range probability
+// must fail the run up front, not hang it (geo:NaN never stops
+// drawing) or run it silently fault-free (NaN and negative -drop).
+func TestRunRejectsBadProbabilities(t *testing.T) {
+	for _, flags := range [][]string{
+		{"-delay", "geo:NaN@4"},
+		{"-fault", "drop:NaN"},
+		{"-drop", "NaN"},
+		{"-drop", "-0.1"},
+	} {
+		args := append([]string{"run", "-proto", "congest", "-n", "64"}, flags...)
+		if err := run(args); err == nil {
+			t.Errorf("byzcount %s accepted", strings.Join(args, " "))
+		}
+	}
+}

@@ -94,9 +94,13 @@ func (m UniformDelay) Delay(rng *xrand.Rand, _, _, _ int) int {
 // with probability 1-P, truncated at Cap — the long-tail straggler
 // model (most messages are fast, a few are very late).
 type GeometricDelay struct {
-	P   float64 // per-tick stop probability in (0, 1]
+	P   float64 // per-tick stop probability in [minGeoP, 1]
 	Cap int     // inclusive latency bound (>= 1)
 }
+
+// minGeoP is the smallest P ParseDelayModel accepts: a draw takes ~1/P
+// coin flips whatever Cap is (see Delay), so a tinier P stalls the run.
+const minGeoP = 1e-3
 
 // Name returns "geo:P@CAP".
 func (m GeometricDelay) Name() string { return fmt.Sprintf("geo:%g@%d", m.P, m.Cap) }
@@ -205,8 +209,8 @@ func ParseDelayModel(spec string) (DelayModel, error) {
 		}
 		p, err1 := strconv.ParseFloat(ps, 64)
 		c, err2 := strconv.Atoi(cs)
-		if err1 != nil || err2 != nil || p <= 0 || p > 1 || c < 1 {
-			return nil, fmt.Errorf("sim: bad delay spec %q (want geo:P@CAP with P in (0,1] and CAP >= 1)", spec)
+		if err1 != nil || err2 != nil || !(p >= minGeoP && p <= 1) || c < 1 {
+			return nil, fmt.Errorf("sim: bad delay spec %q (want geo:P@CAP with P in [%g,1] and CAP >= 1)", spec, minGeoP)
 		}
 		return GeometricDelay{P: p, Cap: c}, nil
 	case strings.HasPrefix(spec, "region:"):

@@ -100,7 +100,7 @@ func ParseFaultModel(spec string) (FaultModel, error) {
 		return nil, nil
 	case strings.HasPrefix(spec, "drop:"):
 		p, err := strconv.ParseFloat(strings.TrimPrefix(spec, "drop:"), 64)
-		if err != nil || p < 0 || p > 1 {
+		if err != nil || !(p >= 0 && p <= 1) {
 			return nil, fmt.Errorf("sim: bad fault spec %q (want drop:P with P in [0,1])", spec)
 		}
 		return DropFault{P: p}, nil

@@ -169,11 +169,11 @@ type Env struct {
 	NeighborIDs []NodeID
 
 	// rand is the slot's private stream, derived lazily by Rand(); root
-	// is the engine stream it derives from. A stream's state is ~5KiB
-	// (the stdlib source), so slots whose processes never draw — flood
-	// workloads, vacant slots, adversaries — must not pay for one; at a
-	// million slots eager derivation would dominate the engine's entire
-	// footprint.
+	// is the engine stream it derives from. A stream costs ~100 B and
+	// three allocations until its 274th draw (4.9 KiB after), so slots
+	// whose processes never draw — flood workloads, vacant slots,
+	// adversaries — must not pay for one; at a million slots eager
+	// derivation would be ~3M allocations for nothing.
 	rand *xrand.Rand
 	root *xrand.Rand
 
@@ -450,8 +450,8 @@ type Engine struct {
 	// delayRng[v] / faultRng[v] are v's private latency/fault streams
 	// (pure functions of the engine seed and v), derived lazily on v's
 	// first draw. Only models that draw get streams at all (see
-	// DelayModel.Draws) — a stream's state is ~5KiB, and the unit model
-	// must consume exactly the streams the legacy engine does.
+	// DelayModel.Draws) — each stream is three allocations, and the unit
+	// model must consume exactly the streams the legacy engine does.
 	delayRng []*xrand.Rand
 	faultRng []*xrand.Rand
 	// tick is the absolute virtual tick of the round being executed —

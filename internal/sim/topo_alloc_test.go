@@ -47,8 +47,7 @@ func heapDuring(f func()) (mallocs, bytes uint64) {
 // allocs) and a few hundred bytes per slot. Two regressions this
 // catches, both of which shipped briefly during development: a slab
 // carve that burned a fresh chunk per vertex (~O(arcs^2) bytes), and
-// eager per-slot random streams (~10KiB per slot — the stdlib source is
-// 607 words, and SplitN used to materialize two of them).
+// eager per-slot random streams (three allocations per slot, so O(n)).
 func TestEngineConstructionBudget(t *testing.T) {
 	const n, k = 8192, 4
 	lat, err := graph.NewRingLattice(n, k)

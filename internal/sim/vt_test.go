@@ -368,7 +368,7 @@ func TestParseDelayModel(t *testing.T) {
 	if m, err := sim.ParseDelayModel(""); err != nil || m != nil {
 		t.Errorf("ParseDelayModel(\"\") = %v, %v; want nil, nil", m, err)
 	}
-	invalid := []string{"bogus", "uniform:", "uniform:0-4", "uniform:5-2", "geo:1.5@4", "geo:0.5", "region:1/1/2", "region:2/0/2", "gst:-1/unit", "gst:4/", "gst:4/bogus"}
+	invalid := []string{"bogus", "uniform:", "uniform:0-4", "uniform:5-2", "geo:1.5@4", "geo:0.5", "region:1/1/2", "region:2/0/2", "gst:-1/unit", "gst:4/", "gst:4/bogus", "geo:NaN@4", "geo:0.0001@4"}
 	for _, spec := range invalid {
 		if _, err := sim.ParseDelayModel(spec); err == nil {
 			t.Errorf("ParseDelayModel(%q): expected error", spec)
@@ -394,7 +394,7 @@ func TestParseFaultModel(t *testing.T) {
 			t.Errorf("ParseFaultModel(%q) = %v, %v; want nil, nil", spec, m, err)
 		}
 	}
-	invalid := []string{"bogus", "drop:", "drop:1.5", "drop:-0.1", "partition:1@5", "partition:2@5-3", "partition:2@-1", "partition:2"}
+	invalid := []string{"bogus", "drop:", "drop:1.5", "drop:-0.1", "drop:NaN", "partition:1@5", "partition:2@5-3", "partition:2@-1", "partition:2"}
 	for _, spec := range invalid {
 		if _, err := sim.ParseFaultModel(spec); err == nil {
 			t.Errorf("ParseFaultModel(%q): expected error", spec)

@@ -7,9 +7,10 @@
 // many random numbers one concern draws does not perturb the others. This
 // makes table rows reproducible and diffable across code changes.
 //
-// The package wraps math/rand (stdlib only) with a SplitMix64-style seed
-// derivation for splitting, which is sufficient for simulation purposes.
-// It is NOT suitable for cryptographic use.
+// Streams are math/rand's *rand.Rand on this package's own source, which
+// matches the stdlib's bit for bit but seeds in O(1) (see source). Child
+// seeds come from a SplitMix64-style derivation, sufficient for
+// simulation purposes. It is NOT suitable for cryptographic use.
 package xrand
 
 import (
@@ -26,10 +27,9 @@ type Rand struct {
 // New returns a stream seeded from seed. Two streams created with the same
 // seed produce identical sequences.
 func New(seed uint64) *Rand {
-	return &Rand{
-		src:  rand.New(rand.NewSource(int64(mix(seed)))),
-		seed: seed,
-	}
+	src := new(source)
+	src.Seed(int64(mix(seed)))
+	return &Rand{src: rand.New(src), seed: seed}
 }
 
 // Seed returns the seed this stream was created from.
@@ -58,7 +58,7 @@ func (r *Rand) SplitInto(label string, dst *Rand) *Rand {
 }
 
 // Reseed re-initializes r in place to the state New(seed) creates,
-// without allocating.
+// without allocating: the source keeps any register it already built.
 func (r *Rand) Reseed(seed uint64) {
 	r.seed = seed
 	r.src.Seed(int64(mix(seed)))
@@ -160,7 +160,7 @@ func (r *Rand) GeometricP(p float64) int {
 	if p >= 1 {
 		return 1
 	}
-	if p <= 0 {
+	if !(p > 0) { // also NaN, for which no coin ever lands
 		panic("xrand: GeometricP requires p in (0, 1]")
 	}
 	n := 1
