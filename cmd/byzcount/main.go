@@ -107,10 +107,10 @@ flags for run:      -proto congest|local|geometric|support|kmv|walk|tree  -n N  
 (-churn K runs on the dynamically maintained H(n,d): K leaves + K joins
  between every pair of rounds, quiescing at round R; with -byz B the
  roster maintains the Byzantine fraction B/n as the membership churns)
-(-delay/-fault run the virtual-time scheduler: per-message latency and
- fault verdicts are drawn from per-sender streams, so outputs stay
- identical for every -parallel value; omitting both keeps the
- synchronous engine)
+(-delay/-fault shape the delivery ring: per-message latency and fault
+ verdicts are drawn from per-sender streams, so outputs stay identical
+ for every -parallel value; empty = unit latency and no faults, the
+ paper's synchronous rounds)
 flags for matrix:   comma-separated axis lists -proto -substrate -adversary
                     -placement -n -byz-frac -churn -delay -fault,
                     plus -churn-stop R  -d D
@@ -396,13 +396,19 @@ func runCmd(args []string) error {
 	churnStop := fs.Int("churn-stop", 0,
 		"disable churn from this round on (0 = churn for the whole run)")
 	delay := fs.String("delay", "",
-		"delivery-latency model spec (unit|uniform:MIN-MAX|geo:P@CAP|region:G/NEAR/FAR|gst:R/SPEC); empty = synchronous engine")
+		"delivery-latency model spec (unit|uniform:MIN-MAX|geo:P@CAP|region:G/NEAR/FAR|gst:R/SPEC); empty = unit latency")
 	gst := fs.Int("gst", 0,
 		"global stabilization round: jitter (-delay, default uniform:1-4) before round R, synchronous after")
 	drop := fs.Float64("drop", 0, "iid per-message drop probability (shorthand for -fault drop:P)")
 	fault := fs.String("fault", "",
 		"message-fault model spec (drop:P|partition:G@FROM[-HEAL]); overrides -drop")
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if err := atLeastOne("-n", *n); err != nil {
+		return err
+	}
+	if err := atLeastOne("-d", *d); err != nil {
 		return err
 	}
 	if *churnStop > 0 && *churn == 0 {
@@ -502,6 +508,16 @@ func splitInts(s string) ([]int, error) {
 	return out, nil
 }
 
+// atLeastOne rejects a scale flag below 1. The scenario layer reads a
+// zero N or D as "use the default", so without this check -n 0 would
+// print n=0 and silently run the default size.
+func atLeastOne(flag string, v int) error {
+	if v < 1 {
+		return fmt.Errorf("%s %d: must be at least 1", flag, v)
+	}
+	return nil
+}
+
 // splitFloats parses a comma-separated float list.
 func splitFloats(s string) ([]float64, error) {
 	var out []float64
@@ -532,7 +548,7 @@ func matrixFlags(fs *flag.FlagSet) func() (expt.Matrix, expt.Config, error) {
 	byzFracs := fs.String("byz-frac", "0", "comma-separated Byzantine fractions (0 = benign)")
 	churns := fs.String("churn", "0", "comma-separated churn rates (leaves=joins per round)")
 	churnStop := fs.Int("churn-stop", 150, "disable churn from this round on (0 = churn forever)")
-	delays := fs.String("delay", "", "comma-separated delivery-latency model specs (empty = synchronous)")
+	delays := fs.String("delay", "", "comma-separated delivery-latency model specs (empty = unit latency)")
 	faults := fs.String("fault", "", "comma-separated message-fault model specs (empty = none)")
 	d := fs.Int("d", 8, "degree parameter")
 	maxPhase := fs.Int("max-phase", 8, "congest phase cap (bounds hostile cells)")
@@ -547,6 +563,14 @@ func matrixFlags(fs *flag.FlagSet) func() (expt.Matrix, expt.Config, error) {
 		expt.SetSubstrateCache(*subcache)
 		nList, err := splitInts(*ns)
 		if err != nil {
+			return expt.Matrix{}, expt.Config{}, err
+		}
+		for _, n := range nList {
+			if err := atLeastOne("-n", n); err != nil {
+				return expt.Matrix{}, expt.Config{}, err
+			}
+		}
+		if err := atLeastOne("-d", *d); err != nil {
 			return expt.Matrix{}, expt.Config{}, err
 		}
 		fracList, err := splitFloats(*byzFracs)

@@ -177,6 +177,55 @@ func TestRunChurnCrashAttack(t *testing.T) {
 	}
 }
 
+// TestRunRejectsOutOfRangeScenario: values the scenario layer would
+// otherwise read as a default (n=0, d=0) or silently ignore (a negative
+// count, a churn stop in the past) fail instead of running a different
+// scenario than the one the report prints.
+func TestRunRejectsOutOfRangeScenario(t *testing.T) {
+	for _, flags := range [][]string{
+		{"-n", "0"},
+		{"-n", "-4"},
+		{"-d", "0"},
+		{"-byz", "-1"},
+		{"-churn", "2", "-churn-stop", "-5"},
+		{"-churn", "-1"},
+		{"-max-phase", "-3"},
+	} {
+		args := append([]string{"run", "-proto", "congest", "-n", "64", "-max-phase", "4"}, flags...)
+		if err := run(args); err == nil {
+			t.Errorf("byzcount %s accepted", strings.Join(args, " "))
+		}
+	}
+}
+
+// TestMatrixRejectsOutOfRangeScenario is the matrix and sweep half: an
+// out-of-range axis value is an error, not a silently skipped or
+// silently benign cell.
+func TestMatrixRejectsOutOfRangeScenario(t *testing.T) {
+	for _, flags := range [][]string{
+		{"-n", "0"},
+		{"-n", "48,0"},
+		{"-d", "0"},
+		{"-adversary", "spam", "-byz-frac", "NaN"},
+		{"-adversary", "spam", "-byz-frac", "-0.1"},
+		{"-adversary", "spam", "-byz-frac", "1.5"},
+		{"-stop-frac", "7"},
+		{"-stop-frac", "NaN"},
+		{"-max-phase", "-3"},
+		{"-churn", "2", "-churn-stop", "-5"},
+	} {
+		for _, cmd := range []string{"matrix", "sweep"} {
+			args := append([]string{cmd, "-n", "48", "-trials", "1"}, flags...)
+			if cmd == "sweep" {
+				args = append(args, "-out", filepath.Join(t.TempDir(), "sw"))
+			}
+			if err := run(args); err == nil {
+				t.Errorf("byzcount %s accepted", strings.Join(args, " "))
+			}
+		}
+	}
+}
+
 func TestMatrixRuns(t *testing.T) {
 	if err := run([]string{"matrix", "-proto", "congest", "-adversary", "none,spam",
 		"-byz-frac", "0,0.05", "-churn", "0,2", "-n", "48", "-trials", "1", "-max-phase", "6"}); err != nil {

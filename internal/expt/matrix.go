@@ -82,7 +82,8 @@ func (m Matrix) checkAxes() error {
 }
 
 // Scenarios enumerates the cross-product in axis-major order (protocol
-// outermost, fault innermost). Unknown axis values error; cells whose
+// outermost, fault innermost). Unknown axis values and out-of-range
+// numbers (see Scenario.checkValues) error; cells whose
 // axes merely do not compose (a Byzantine budget with the "none"
 // adversary, a schedule-driven adversary on a non-CONGEST protocol,
 // churn on a static-only substrate) are counted and skipped — a slice
@@ -115,6 +116,9 @@ func (m Matrix) Scenarios() (cells []Scenario, skipped int, err error) {
 											Churn: churn, Dynamic: churn.Active(),
 											MaxPhase: maxPhase, StopFrac: m.StopFrac,
 											Delay: delay, Fault: fault,
+										}
+										if err := sc.checkValues(); err != nil {
+											return nil, 0, err
 										}
 										if frac == 0 && adv != "none" {
 											// A benign cell is the same run whatever

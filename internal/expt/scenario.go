@@ -72,11 +72,10 @@ type Scenario struct {
 	// spec (sim.ParseDelayModel — "unit", "uniform:1-4", "geo:0.5@8",
 	// "region:2/1/6", "gst:32/uniform:1-6") and a message-fault spec
 	// (sim.ParseFaultModel — "drop:0.05", "partition:2@16-48"). Empty
-	// keeps the synchronous engine and with it byte-for-byte
-	// compatibility with every pre-virtual-time table; any non-empty
-	// value (including the degenerate "unit") runs the cell on the
-	// event-ring scheduler. Specs appear verbatim in Label(), so cells
-	// differing only in delivery semantics draw distinct sweep sub-seeds.
+	// Delay means unit latency, the paper's synchronous rounds; empty
+	// Fault means no message is lost. An explicit "unit" runs the same
+	// schedule as empty, but specs appear verbatim in Label(), so cells
+	// differing in their spec strings draw distinct sweep sub-seeds.
 	Delay string
 	Fault string
 
@@ -170,11 +169,15 @@ func (sc Scenario) byzBudget() (count int, target float64) {
 	return 0, 0
 }
 
-// Validate checks that every axis name resolves and that the axes
+// Validate checks that every numeric field is in range (see
+// checkValues), that every axis name resolves, and that the axes
 // compose (schedule-driven adversaries need the CONGEST protocol, churn
 // needs the dynamically maintainable substrate, ...). Error messages
 // enumerate the valid values so CLI typos fail fast and helpfully.
 func (sc Scenario) Validate() error {
+	if err := sc.checkValues(); err != nil {
+		return err
+	}
 	sc = sc.withDefaults()
 	proto, ok := Protocols[sc.Proto]
 	if !ok {
@@ -218,6 +221,38 @@ func (sc Scenario) Validate() error {
 		if _, err := sim.ParseFaultModel(sc.Fault); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// checkValues rejects numeric fields no cell can mean: negative counts,
+// round caps and churn rates, and fractions that are NaN or outside
+// [0, 1]. Unlike a composition hole (which a matrix slice legitimately
+// crosses and skips), an out-of-range value is a typo, so Matrix
+// reports it instead of skipping the cell. Each fraction check is
+// written !(x >= 0 && x <= 1) so that NaN fails it.
+func (sc Scenario) checkValues() error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"Byz", sc.Byz},
+		{"ByzJoiners", sc.ByzJoiners},
+		{"Churn.Leaves", sc.Churn.Leaves},
+		{"Churn.Joins", sc.Churn.Joins},
+		{"Churn.StopAfter", sc.Churn.StopAfter},
+		{"MaxPhase", sc.MaxPhase},
+		{"MaxRounds", sc.MaxRounds},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("expt: %s = %d is negative", f.name, f.v)
+		}
+	}
+	if !(sc.ByzFrac >= 0 && sc.ByzFrac <= 1) {
+		return fmt.Errorf("expt: ByzFrac = %g is outside [0, 1]", sc.ByzFrac)
+	}
+	if !(sc.StopFrac >= 0 && sc.StopFrac <= 1) {
+		return fmt.Errorf("expt: StopFrac = %g is outside [0, 1]", sc.StopFrac)
 	}
 	return nil
 }
@@ -570,8 +605,8 @@ func RunScenario(sc Scenario, rng *xrand.Rand, opts RunOptions) (*ScenarioOutcom
 	if sc.Proto == "local" {
 		ctx.local = counting.DefaultLocalParams(sc.D + 2)
 	}
-	// Validate parsed these already; nil models (empty specs) keep the
-	// synchronous engine.
+	// Validate parsed these already; nil models (empty specs) mean unit
+	// latency and no faults.
 	eo := engineOpts{workers: opts.Workers}
 	if opts.Context != nil {
 		eo.done = opts.Context.Done()

@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -43,6 +44,64 @@ func TestScenarioValidate(t *testing.T) {
 		Churn: ChurnProfile{Leaves: 1, Joins: 1}}
 	if err := good.Validate(); err != nil {
 		t.Errorf("valid scenario rejected: %v", err)
+	}
+}
+
+// TestScenarioValidateRanges: out-of-range numbers are rejected, not
+// silently read as a default — a negative count or cap, and a fraction
+// that is NaN or outside [0, 1]. Matrix reports the same values as an
+// error instead of skipping the cell as an incompatible combination.
+func TestScenarioValidateRanges(t *testing.T) {
+	churn := ChurnProfile{Leaves: 1, Joins: 1}
+	bad := []struct {
+		sc   Scenario
+		want string
+	}{
+		{Scenario{Byz: -1}, "Byz"},
+		{Scenario{ByzJoiners: -1, Churn: churn}, "ByzJoiners"},
+		{Scenario{Churn: ChurnProfile{Leaves: -1, Joins: 1}}, "Churn.Leaves"},
+		{Scenario{Churn: ChurnProfile{Leaves: 1, Joins: -2}}, "Churn.Joins"},
+		{Scenario{Churn: ChurnProfile{Leaves: 2, Joins: 2, StopAfter: -5}}, "Churn.StopAfter"},
+		{Scenario{MaxPhase: -3}, "MaxPhase"},
+		{Scenario{MaxRounds: -1}, "MaxRounds"},
+		{Scenario{Adversary: "spam", ByzFrac: math.NaN()}, "ByzFrac"},
+		{Scenario{Adversary: "spam", ByzFrac: -0.1}, "ByzFrac"},
+		{Scenario{Adversary: "spam", ByzFrac: 1.5}, "ByzFrac"},
+		{Scenario{Adversary: "spam", ByzFrac: math.Inf(1)}, "ByzFrac"},
+		{Scenario{StopFrac: 7}, "StopFrac"},
+		{Scenario{StopFrac: -0.5}, "StopFrac"},
+		{Scenario{StopFrac: math.NaN()}, "StopFrac"},
+	}
+	for _, tc := range bad {
+		err := tc.sc.Validate()
+		if err == nil {
+			t.Errorf("scenario %+v accepted", tc.sc)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("scenario %+v: error %q does not name %q", tc.sc, err, tc.want)
+		}
+	}
+	good := []Scenario{
+		{ByzFrac: 0, StopFrac: 0},
+		{Adversary: "spam", ByzFrac: 1, StopFrac: 1},
+		{Churn: ChurnProfile{Leaves: 0, Joins: 0, StopAfter: 0}, MaxPhase: 0, MaxRounds: 0},
+	}
+	for _, sc := range good {
+		if err := sc.Validate(); err != nil {
+			t.Errorf("scenario %+v rejected: %v", sc, err)
+		}
+	}
+	for _, m := range []Matrix{
+		{Adversaries: []string{"spam"}, ByzFracs: []float64{math.NaN()}},
+		{Adversaries: []string{"spam"}, ByzFracs: []float64{-0.1}},
+		{StopFrac: 7},
+		{MaxPhase: -3},
+		{Churns: []ChurnProfile{{Leaves: 2, Joins: 2, StopAfter: -5}}},
+	} {
+		if _, _, err := m.Scenarios(); err == nil {
+			t.Errorf("matrix %+v enumerated without error", m)
+		}
 	}
 }
 

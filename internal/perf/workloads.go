@@ -57,10 +57,10 @@ func NewFloodEngine(n, d, workers int) (*sim.Engine, error) {
 
 // NewVTFloodEngine is NewFloodEngine with a delay-model spec (see
 // sim.ParseDelayModel): the event-queue throughput workload. The empty
-// spec keeps the legacy synchronous path, "unit" exercises the
-// virtual-time scheduler in its degenerate configuration, and a jitter
-// spec like "uniform:1-4" measures the calendar-queue ring under real
-// reordering — the configurations the engine/vt-flood/* trajectory
+// spec and "unit" both run unit latency (the empty spec installs no
+// model, "unit" installs UnitDelay and reserves the ring rows), and a
+// jitter spec like "uniform:1-4" measures the calendar-queue ring under
+// real reordering — the configurations the engine/vt-flood/* trajectory
 // entries and the TestSteadyStateAllocsVT* gates record.
 func NewVTFloodEngine(n, d, workers int, delaySpec string) (*sim.Engine, error) {
 	g, err := graph.HND(n, d, xrand.New(4))

@@ -183,7 +183,7 @@ func warmVTFloodEngine(t *testing.T, workers int) *sim.Engine {
 
 // TestSteadyStateAllocsVTSerial: the event-queue gate — a warm serial
 // virtual-time round (ring delivery, per-sender latency draws included)
-// allocates nothing, strictly. Same budget as the synchronous engine.
+// allocates nothing, strictly. Same budget as unit latency.
 func TestSteadyStateAllocsVTSerial(t *testing.T) {
 	eng := warmVTFloodEngine(t, 1)
 	allocs := testing.AllocsPerRun(100, func() {

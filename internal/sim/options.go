@@ -39,7 +39,7 @@ func New(topo Topology, opts ...Option) *Engine {
 }
 
 // options is the merged result of applying Options; zero values mean
-// engine defaults (seed 0, serial, LOCAL model, synchronous delivery).
+// engine defaults (seed 0, serial, LOCAL model, unit-latency delivery).
 type options struct {
 	seed    uint64
 	workers int
@@ -66,7 +66,7 @@ func WithParallelism(workers int) Option { return func(o *options) { o.workers =
 func WithEdgeCapacity(bits int) Option { return func(o *options) { o.capBits = bits } }
 
 // WithDelayModel installs a delivery-latency model (see SetDelayModel);
-// nil keeps synchronous delivery.
+// nil keeps unit latency.
 func WithDelayModel(m DelayModel) Option { return func(o *options) { o.delay = m } }
 
 // WithFaultModel installs a message-fault model (see SetFaultModel);

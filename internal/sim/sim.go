@@ -8,9 +8,9 @@
 // identical executions, which makes every experiment row reproducible.
 // It runs serially by default; SetParallelism switches it to a sharded
 // worker-pool mode that steps vertices concurrently and then merges
-// outboxes in ascending vertex order, so delivery order, edge-capacity
+// outboxes in ascending sender order, so delivery order, edge-capacity
 // decisions, and metrics are byte-for-byte identical to the serial
-// engine (see round ordering notes on roundParallel).
+// engine (see the ordering notes on roundParallelVT and mergeShardVT).
 //
 // The network may be static (a graph.Graph — the zero-overhead fast
 // path) or mutable (any other Topology): a mutable topology is
@@ -22,13 +22,15 @@
 // functional options select seed, parallelism, edge capacity, and
 // delivery models.
 //
-// Partial synchrony is a configuration, not a different engine: with a
-// DelayModel (and/or FaultModel) installed, Run schedules every
-// admitted message into a calendar-queue delivery ring on virtual time,
-// keyed on (deliver tick, sender slot, per-sender send sequence), with
-// latency drawn from per-sender split streams — see delay.go for the
-// determinism argument. The unit-latency model degenerates to exactly
-// the synchronous engine, byte for byte.
+// There is one scheduler: every admitted message is placed into a
+// calendar-queue delivery ring on virtual time, keyed on (deliver tick,
+// sender slot, per-sender send sequence), with latency drawn from
+// per-sender split streams — see delay.go for the determinism argument.
+// Synchronous rounds are its unit-latency case: with no DelayModel
+// installed every message takes exactly one tick, the ring has two
+// slots, and no stream is drawn. Partial synchrony (a DelayModel and/or
+// FaultModel) is a configuration of the same ring, not a different
+// engine.
 package sim
 
 import (
@@ -317,18 +319,15 @@ type workerState struct {
 	// which costs more than the whole map lookup it replaced.
 	nbrMark []uint64
 
-	// buckets[s] holds this worker's admitted messages destined for
-	// shard s, in ascending sender order (the worker steps a contiguous
-	// vertex range in order). The merge phase for shard s concatenates
-	// workers' buckets in worker order, so each merge worker touches
-	// only its own messages instead of scanning everyone's.
-	buckets [][]routed
-
-	// vtb[s*window+slot] is the virtual-time analogue of buckets:
-	// admitted messages destined for shard s and ring slot `slot`, in
-	// ascending sender order. Buckets are merged into the ring EVERY
-	// round (not at the delivery tick), so each ring row accumulates
-	// messages round-major, sender-major — exactly the serial schedule.
+	// vtb[s*window+d] holds this worker's admitted messages destined
+	// for shard s with latency d (1 <= d < window; index d == 0 is never
+	// used), in ascending sender order — the worker steps a contiguous
+	// vertex range in order. Keying by delay rather than by ring slot
+	// keeps one bucket set per latency: at unit latency only the d == 1
+	// buckets ever fill, instead of two slot-indexed sets alternating.
+	// Buckets are merged into ring slot (tick+d) mod window EVERY round
+	// (not at the delivery tick), so each ring row accumulates messages
+	// round-major, sender-major — exactly the serial schedule.
 	vtb [][]routed
 
 	messages     int64
@@ -380,8 +379,8 @@ type Engine struct {
 	epochOf  []uint64
 	curEpoch uint64
 
-	// betweenRounds, if non-nil, runs after every round's delivery swap
-	// and before the all-halted check — the churn hook point.
+	// betweenRounds, if non-nil, runs after every round's delivery and
+	// before the all-halted check — the churn hook point.
 	betweenRounds func(round int) error
 
 	// regrow is set when the slot arrays grew mid-run (topology growth):
@@ -413,45 +412,35 @@ type Engine struct {
 
 	metrics Metrics
 
-	// The inbox arena: double-buffered per-vertex inbox slabs, indexed
-	// by vertex. cur holds the messages delivered this round, next
-	// collects the messages for the coming round; Run swaps them after
-	// every round and slabs are truncated, never freed, so each slab
-	// stays at its high-water capacity and steady-state delivery
-	// allocates nothing. Together with the Env scratch buffers on the
-	// send side this is what makes warm rounds allocation-free (see
-	// DESIGN.md, "Memory model").
-	cur, next [][]Incoming
-
 	// sortedAdj[v] is v's adjacency, deduplicated and sorted ascending.
 	// Each round a sender stamps these into its worker's nbrMark array
 	// so destination checks are one compare (replaces the old
 	// []map[int]bool, whose per-vertex maps dominated setup memory).
 	sortedAdj [][]int32
 
-	// --- virtual time ---
-	// delay/fault select the virtual-time scheduler: when either is
-	// non-nil, Run schedules admitted messages into the delivery ring
-	// below instead of the cur/next double buffer. Configure both before
-	// the first Run (SetDelayModel/SetFaultModel).
+	// --- delivery ---
+	// delay/fault shape the delivery ring below: nil delay means unit
+	// latency (every message arrives the next round) and nil fault means
+	// no message is lost. Configure both before the first Run
+	// (SetDelayModel/SetFaultModel).
 	delay DelayModel
 	fault FaultModel
 	// window is the ring length: the delay model's MaxDelay()+1, at
 	// least 2, so an in-flight message's slot (tick+d) mod window never
 	// collides with the slot currently being delivered.
 	window int
-	// ring[s][v] is vertex v's inbox for virtual ticks ≡ s (mod window)
-	// — the calendar-queue generalization of the cur/next double buffer
-	// (window == 2 with unit latency degenerates to exactly that
-	// structure). Rows are truncated after delivery, never freed, so
-	// each row stays at its high-water capacity and steady-state
-	// virtual-time rounds allocate nothing.
+	// ring[s][v] is vertex v's inbox for virtual ticks ≡ s (mod window),
+	// the engine's only delivery structure — a calendar queue that, at
+	// unit latency (window 2), is a double buffer whose halves swap
+	// roles by tick parity. Rows are truncated after delivery, never
+	// freed, so each row stays at its high-water capacity and together
+	// with the Env scratch buffers on the send side steady-state rounds
+	// allocate nothing (see DESIGN.md, "Memory model").
 	ring [][][]Incoming
 	// delayRng[v] / faultRng[v] are v's private latency/fault streams
 	// (pure functions of the engine seed and v), derived lazily on v's
 	// first draw. Only models that draw get streams at all (see
-	// DelayModel.Draws) — each stream is three allocations, and the unit
-	// model must consume exactly the streams the legacy engine does.
+	// DelayModel.Draws), so unit latency derives none.
 	delayRng []*xrand.Rand
 	faultRng []*xrand.Rand
 	// tick is the absolute virtual tick of the round being executed —
@@ -465,14 +454,13 @@ type Engine struct {
 	// by every worker; serial rounds resolve into a local instead.
 	vtr vtRound
 
-	// --- sparse virtual-time delivery ---
-	// sparse is set by ensureState when the virtual-time scheduler has
-	// at least one TickDriven proc attached: ring slots then maintain
-	// the occupancy overlay below and rounds step only the union of
-	// always-step vertices and occupied rows — serially on the calling
-	// goroutine, in parallel via the phaseStepVTSparse/phaseMergeVTSparse
-	// pool phases. Dense workloads (no marked procs) keep the plain
-	// lanes and pay nothing.
+	// --- sparse delivery ---
+	// sparse is set by ensureState when at least one TickDriven proc is
+	// attached: ring slots then maintain the occupancy overlay below and
+	// rounds step only the union of always-step vertices and occupied
+	// rows — serially on the calling goroutine, in parallel via the
+	// phaseStepVTSparse/phaseMergeVTSparse pool phases. Dense workloads
+	// (no marked procs) keep the plain lanes and pay nothing.
 	sparse bool
 	// skip enables fast-forwarding over empty ticks when every live
 	// proc is TickDriven (default on; see SetTickSkip / TickDriven).
@@ -506,7 +494,7 @@ type Engine struct {
 	ws      []*workerState // one per range worker; [0] serves serial rounds
 
 	// vtbReserve, when positive, is the per-bucket capacity every
-	// per-(worker, destination-shard, ring-slot) outbox is pre-sized to
+	// per-(worker, destination-shard, delay) outbox is pre-sized to
 	// (see ReserveOutbox) — recorded here so the reservation survives
 	// the worker-state rebuilds of SetParallelism and topology growth.
 	vtbReserve int
@@ -530,9 +518,7 @@ type Engine struct {
 type poolPhase uint8
 
 const (
-	phaseStepBuckets   poolPhase = iota // step contiguous range into shard buckets
-	phaseMergeBuckets                   // merge this worker's destination shard from buckets
-	phaseStepVT                         // step contiguous range into per-(shard, ring-slot) buckets
+	phaseStepVT        poolPhase = iota // step contiguous range into per-(shard, delay) buckets
 	phaseMergeVT                        // merge this worker's destination shard into the ring
 	phaseStepVTSparse                   // step only occupied/always-step vertices of the range
 	phaseMergeVTSparse                  // merge this worker's shard, folding in occupancy
@@ -651,8 +637,6 @@ func newEngine(n int, seed uint64) *Engine {
 		envs:      make([]Env, n),
 		ids:       make([]NodeID, n),
 		vertexOf:  make(map[NodeID]int, n),
-		cur:       make([][]Incoming, n),
-		next:      make([][]Incoming, n),
 		sortedAdj: make([][]int32, n),
 	}
 	e.metrics.PerNodeMaxBit = make([]int, n)
@@ -736,12 +720,9 @@ func (e *Engine) Detach(v int) error {
 		e.alwaysStep = slices.Delete(e.alwaysStep, i, i+1)
 	}
 	e.procs[v] = nil
-	e.cur[v] = e.cur[v][:0]
-	e.next[v] = e.next[v][:0]
-	// Under virtual time pending deliveries live in the ring, up to
-	// window-1 ticks out; drop them all (the departed node never sees
-	// them, matching the synchronous convention). Sparse engines keep
-	// the per-slot counts exact; the occupied-row entries go stale,
+	// Pending deliveries live in the ring, up to window-1 ticks out;
+	// drop them all (the departed node never sees them). Sparse engines
+	// keep the per-slot counts exact; the occupied-row entries go stale,
 	// which delivery tolerates (it re-checks row lengths).
 	for s := range e.ring {
 		if row := e.ring[s][v]; len(row) > 0 {
@@ -791,8 +772,6 @@ func (e *Engine) AttachAt(v int, id NodeID, p Proc) error {
 	e.vertexOf[id] = v
 	env := &e.envs[v]
 	env.ID = id
-	e.cur[v] = e.cur[v][:0]
-	e.next[v] = e.next[v][:0]
 	for s := range e.ring {
 		if row := e.ring[s][v]; len(row) > 0 {
 			if e.sparse {
@@ -867,8 +846,6 @@ func (e *Engine) growTo(m int) {
 		e.procs = append(e.procs, nil)
 		e.ids = append(e.ids, 0)
 		e.envs = append(e.envs, Env{Vertex: v, root: e.root})
-		e.cur = append(e.cur, nil)
-		e.next = append(e.next, nil)
 		e.sortedAdj = append(e.sortedAdj, nil)
 		e.metrics.PerNodeMaxBit = append(e.metrics.PerNodeMaxBit, 0)
 		if e.epochOf != nil {
@@ -957,10 +934,11 @@ func (e *Engine) SetEdgeCapacity(bits int) {
 	e.edgeCapBits = bits
 }
 
-// SetDelayModel installs a delivery-latency model, switching Run to the
-// virtual-time scheduler; nil restores the synchronous default.
-// Configure before the first Run: changing the model re-sizes the
-// delivery ring, and messages still in flight do not survive that.
+// SetDelayModel installs a delivery-latency model; nil restores the
+// default, unit latency (every message takes one round — the paper's
+// synchronous model). Configure before the first Run: changing the
+// model re-sizes the delivery ring, and messages still in flight do not
+// survive that.
 func (e *Engine) SetDelayModel(m DelayModel) {
 	e.delay = m
 	e.ws = nil // ring and buckets are (re)built by ensureState
@@ -968,13 +946,13 @@ func (e *Engine) SetDelayModel(m DelayModel) {
 	e.window = 0
 }
 
-// DelayModel returns the installed delivery-latency model (nil =
-// synchronous).
+// DelayModel returns the installed delivery-latency model (nil = unit
+// latency).
 func (e *Engine) DelayModel() DelayModel { return e.delay }
 
-// SetFaultModel installs a message-fault model, switching Run to the
-// virtual-time scheduler; nil removes it. Like SetDelayModel, configure
-// before the first Run.
+// SetFaultModel installs a message-fault model; nil removes it (no
+// message is lost). Like SetDelayModel, configure before the first Run:
+// messages still in flight do not survive the change.
 func (e *Engine) SetFaultModel(m FaultModel) {
 	e.fault = m
 	e.ws = nil
@@ -985,7 +963,7 @@ func (e *Engine) SetFaultModel(m FaultModel) {
 // FaultModel returns the installed message-fault model (nil = none).
 func (e *Engine) FaultModel() FaultModel { return e.fault }
 
-// ReserveInbox pre-sizes every virtual-time delivery row to hold perRow
+// ReserveInbox pre-sizes every delivery-ring row to hold perRow
 // messages without growing. Under a jittered delay model the per-(slot,
 // vertex) delivery load is stochastic, so row capacities converge to
 // their high-water marks only asymptotically — long steady-state runs
@@ -993,10 +971,10 @@ func (e *Engine) FaultModel() FaultModel { return e.fault }
 // simultaneous arrivals (for one message per edge per round: in-degree
 // times the maximum delay) can reserve it up front and make warm rounds
 // strictly allocation-free, which is what the perf workloads behind the
-// TestSteadyStateAllocsVT* gates do. No-op outside virtual-time mode;
-// rows already at capacity perRow or above are left alone.
+// TestSteadyStateAllocsVT* gates do. No-op before Attach; rows already
+// at capacity perRow or above are left alone.
 func (e *Engine) ReserveInbox(perRow int) {
-	if perRow <= 0 || !e.vtMode() || e.procs == nil {
+	if perRow <= 0 || e.procs == nil {
 		return
 	}
 	e.ensureState()
@@ -1017,19 +995,19 @@ func (e *Engine) ReserveInbox(perRow int) {
 	}
 }
 
-// ReserveOutbox pre-sizes every per-(worker, destination-shard,
-// ring-slot) outbox bucket of the parallel virtual-time engine to hold
-// perBucket messages without growing, and — on sparse engines — every
-// occupied-row list to its shard's full size. It is ReserveInbox's
+// ReserveOutbox pre-sizes every per-(worker, destination-shard, delay)
+// outbox bucket of the parallel engine to hold perBucket messages
+// without growing, and — on sparse engines — every occupied-row list to
+// its shard's full size. It is ReserveInbox's
 // send-side twin: under a jittered delay model the per-bucket load is
 // stochastic, so bucket capacities converge to their high-water marks
 // only asymptotically and long runs keep paying rare amortized
 // regrowth; a workload that knows a burst bound can reserve it up front
 // and make warm parallel sparse rounds strictly allocation-free. The
 // reservation is remembered and re-applied when worker state is rebuilt
-// (SetParallelism, topology growth). No-op outside virtual-time mode.
+// (SetParallelism, topology growth). No-op before Attach.
 func (e *Engine) ReserveOutbox(perBucket int) {
-	if perBucket <= 0 || !e.vtMode() || e.procs == nil {
+	if perBucket <= 0 || e.procs == nil {
 		return
 	}
 	e.vtbReserve = perBucket
@@ -1080,16 +1058,14 @@ func (e *Engine) applyOutboxReserve() {
 	}
 }
 
-// vtMode reports whether Run uses the virtual-time scheduler.
-func (e *Engine) vtMode() bool { return e.delay != nil || e.fault != nil }
-
 // SetParallelism sets the number of Step-shard workers used by Run.
 // Values <= 1 select the serial engine. Parallel execution is
 // deterministic and bit-identical to serial execution for any worker
 // count: each worker steps a contiguous vertex range into
-// per-destination-shard buckets, and the buckets are merged in ascending
-// sender order. Every process steps independently, so a process must not
-// mutate state shared with other vertices during Run.
+// per-(destination-shard, delay) buckets, and the buckets are merged
+// into the delivery ring in ascending sender order. Every process steps
+// independently, so a process must not mutate state shared with other
+// vertices during Run.
 func (e *Engine) SetParallelism(workers int) {
 	if workers < 1 {
 		workers = 1
@@ -1142,47 +1118,6 @@ func (e *Engine) Env(v int) *Env { return &e.envs[v] }
 // Metrics returns the measurements accumulated so far.
 func (e *Engine) Metrics() Metrics { return e.metrics }
 
-// admit validates one outgoing message from v against the topology and
-// the per-edge capacity, accumulating metrics into ws. It returns whether
-// the message is delivered. The caller must have stamped v's neighbors
-// into ws.nbrMark under ws.gen (see stepVertex). The decision
-// depends only on v's own this-round traffic, so it is identical
-// however vertices are scheduled.
-func (e *Engine) admit(ws *workerState, v int, msg *Outgoing) bool {
-	if uint(msg.To) >= uint(e.n) || ws.nbrMark[msg.To] != ws.gen {
-		ws.violations++
-		return false
-	}
-	bits := 0
-	if msg.Payload != nil {
-		bits = msg.Payload.SizeBits()
-	}
-	if e.edgeCapBits > 0 {
-		if ws.budget == nil {
-			ws.budget = make([]int, e.n)
-			ws.budgetGen = make([]uint64, e.n)
-		}
-		if ws.budgetGen[msg.To] != ws.gen {
-			ws.budgetGen[msg.To] = ws.gen
-			ws.budget[msg.To] = 0
-		}
-		if ws.budget[msg.To]+bits > e.edgeCapBits {
-			ws.capped++
-			return false
-		}
-		ws.budget[msg.To] += bits
-	}
-	ws.messages++
-	ws.bits += int64(bits)
-	if bits > ws.maxMsgBits {
-		ws.maxMsgBits = bits
-	}
-	if bits > e.metrics.PerNodeMaxBit[v] {
-		e.metrics.PerNodeMaxBit[v] = bits
-	}
-	return true
-}
-
 // ensureState builds (or rebuilds) the worker ranges and scratch used by
 // Run. Serial mode uses ws[0] only.
 func (e *Engine) ensureState() {
@@ -1199,9 +1134,10 @@ func (e *Engine) ensureState() {
 		lo, hi := i*n/w, (i+1)*n/w
 		e.ranges = append(e.ranges, [2]int{lo, hi})
 	}
+	e.ensureVT()
 	e.ws = make([]*workerState, w)
 	for i := range e.ws {
-		e.ws[i] = &workerState{buckets: make([][]routed, w)}
+		e.ws[i] = &workerState{}
 	}
 	if w > 1 {
 		e.shardOf = make([]int32, n)
@@ -1210,34 +1146,26 @@ func (e *Engine) ensureState() {
 				e.shardOf[v] = int32(i)
 			}
 		}
-	}
-	if e.vtMode() {
-		e.ensureVT()
-		if w > 1 {
-			for _, ws := range e.ws {
-				ws.vtb = make([][]routed, w*e.window)
-			}
+		for _, ws := range e.ws {
+			ws.vtb = make([][]routed, w*e.window)
 		}
-		// Sparse delivery needs at least one marked proc to pay for
-		// itself; rebuilding the overlay from the ring here means
-		// messages in flight across a reconfiguration (parallelism or
-		// capacity change) are re-discovered, never stranded. Parallel
-		// engines keep the overlay race-free by ownership: the serial
-		// lanes append single-threaded, the parallel lanes fold
-		// occupancy in during the merge phase, where each worker owns
-		// exactly its destination shard's overlay region.
-		e.sparse = e.HasTickDriven()
-		if e.sparse {
-			e.ensureOccupancy()
-		}
-		e.applyOutboxReserve()
-	} else {
-		e.sparse = false
 	}
+	// Sparse delivery needs at least one marked proc to pay for itself;
+	// rebuilding the overlay from the ring here means messages in flight
+	// across a reconfiguration (parallelism or capacity change) are
+	// re-discovered, never stranded. Parallel engines keep the overlay
+	// race-free by ownership: the serial lanes append single-threaded,
+	// the parallel lanes fold occupancy in during the merge phase, where
+	// each worker owns exactly its destination shard's overlay region.
+	e.sparse = e.HasTickDriven()
+	if e.sparse {
+		e.ensureOccupancy()
+	}
+	e.applyOutboxReserve()
 }
 
-// ensureVT builds (or re-sizes after growth) the virtual-time state:
-// the delivery ring — window per-vertex inbox arrays — and, for models
+// ensureVT builds (or re-sizes after growth) the delivery state: the
+// ring — window per-vertex inbox arrays — and, for models
 // that draw, the per-sender stream tables (streams themselves derive
 // lazily on first draw).
 func (e *Engine) ensureVT() {
@@ -1323,143 +1251,6 @@ func (e *Engine) flushRound() int64 {
 	return roundMsgs
 }
 
-// roundSerial executes one round on the calling goroutine, delivering
-// straight into next. Returns whether every process had halted. The
-// admission logic is hand-inlined (see admit for the commented version):
-// this loop is the engine's hot path and an uninlined call per message
-// costs ~50% throughput.
-func (e *Engine) roundSerial(r int) bool {
-	n := e.n
-	ws := e.ws[0]
-	capBits := e.edgeCapBits
-	if capBits > 0 && ws.budget == nil {
-		ws.budget = make([]int, n)
-		ws.budgetGen = make([]uint64, n)
-	}
-	if ws.nbrMark == nil {
-		ws.nbrMark = make([]uint64, n)
-	}
-	nbrMark := ws.nbrMark
-	perNodeMax := e.metrics.PerNodeMaxBit
-	dyn := e.topo != nil
-	allHalted := true
-	for v := 0; v < n; v++ {
-		p := e.procs[v]
-		if p == nil || p.Halted() {
-			e.cur[v] = e.cur[v][:0]
-			continue
-		}
-		allHalted = false
-		if dyn && e.epochOf[v] != e.curEpoch {
-			e.catchUpVertex(v)
-		}
-		out := p.Step(&e.envs[v], r, e.cur[v])
-		e.cur[v] = e.cur[v][:0]
-		if len(out) == 0 {
-			continue
-		}
-		ws.gen++
-		gen := ws.gen
-		adj := e.sortedAdj[v]
-		for _, w := range adj {
-			nbrMark[w] = gen
-		}
-		fromID := e.ids[v]
-		maxSent := perNodeMax[v]
-		var msgs, totalBits int64
-		for _, msg := range out {
-			to, payload := msg.To, msg.Payload
-			if uint(to) >= uint(n) || nbrMark[to] != gen {
-				ws.violations++
-				continue
-			}
-			bits := 0
-			if payload != nil {
-				bits = payload.SizeBits()
-			}
-			if capBits > 0 {
-				if ws.budgetGen[to] != ws.gen {
-					ws.budgetGen[to] = ws.gen
-					ws.budget[to] = 0
-				}
-				if ws.budget[to]+bits > capBits {
-					ws.capped++
-					continue
-				}
-				ws.budget[to] += bits
-			}
-			msgs++
-			totalBits += int64(bits)
-			if bits > ws.maxMsgBits {
-				ws.maxMsgBits = bits
-			}
-			if bits > maxSent {
-				maxSent = bits
-			}
-			e.next[to] = append(e.next[to], Incoming{
-				From:    v,
-				FromID:  fromID,
-				Payload: payload,
-			})
-		}
-		ws.messages += msgs
-		ws.bits += totalBits
-		perNodeMax[v] = maxSent
-		if cap(out) > cap(e.envs[v].scratch) {
-			e.envs[v].scratch = out[:0]
-		}
-	}
-	return allHalted
-}
-
-// stepVertex runs the shared prologue of one parallel step: halt
-// check, Step, inbox truncation, and stamping the sender's neighbors
-// for admission. It returns the vertex's outgoing messages (nil when
-// halted or silent). Every vertex is owned by exactly one goroutine
-// per round, so cur, envs, procs and PerNodeMaxBit entries are
-// touched race-free.
-func (e *Engine) stepVertex(v, r int, ws *workerState) []Outgoing {
-	p := e.procs[v]
-	if p == nil || p.Halted() {
-		e.cur[v] = e.cur[v][:0]
-		return nil
-	}
-	ws.allHalted = false
-	if e.topo != nil && e.epochOf[v] != e.curEpoch {
-		e.catchUpVertex(v)
-	}
-	out := p.Step(&e.envs[v], r, e.cur[v])
-	e.cur[v] = e.cur[v][:0]
-	if len(out) == 0 {
-		return nil
-	}
-	if ws.nbrMark == nil {
-		ws.nbrMark = make([]uint64, e.n)
-	}
-	ws.gen++
-	for _, w := range e.sortedAdj[v] {
-		ws.nbrMark[w] = ws.gen
-	}
-	return out
-}
-
-// stepVertexBuckets steps one vertex, admitting its output into the
-// worker's private per-destination-shard buckets.
-func (e *Engine) stepVertexBuckets(v, r int, ws *workerState) {
-	out := e.stepVertex(v, r, ws)
-	for i := range out {
-		msg := &out[i]
-		if e.admit(ws, v, msg) {
-			s := e.shardOf[msg.To]
-			ws.buckets[s] = append(ws.buckets[s],
-				routed{to: int32(msg.To), from: int32(v), payload: msg.Payload})
-		}
-	}
-	if cap(out) > cap(e.envs[v].scratch) {
-		e.envs[v].scratch = out[:0]
-	}
-}
-
 // startPool parks len(ranges) workers on their wake channels. Wake
 // channels are engine-owned and reused across Runs (recreated only when
 // the worker count changes), so restarting the pool costs one goroutine
@@ -1510,17 +1301,11 @@ func (e *Engine) poolWorker(i int) {
 		case phaseExit:
 			e.poolWG.Done()
 			return
-		case phaseStepBuckets:
-			ws := e.ws[i]
-			for v := e.ranges[i][0]; v < e.ranges[i][1]; v++ {
-				e.stepVertexBuckets(v, e.round, ws)
-			}
-		case phaseMergeBuckets:
-			e.mergeShard(i)
 		case phaseStepVT:
 			ws := e.ws[i]
+			box := e.ring[e.tick%e.window]
 			for v := e.ranges[i][0]; v < e.ranges[i][1]; v++ {
-				e.stepVertexVT(v, e.round, ws)
+				e.stepVertexVT(v, e.round, ws, box)
 			}
 		case phaseMergeVT:
 			e.mergeShardVT(i)
@@ -1533,35 +1318,18 @@ func (e *Engine) poolWorker(i int) {
 	}
 }
 
-// mergeShard drains every worker's bucket for destination shard s, in
-// worker order — ascending sender order, so each inbox receives its
-// messages in exactly the serial delivery order.
-func (e *Engine) mergeShard(s int) {
-	for i := range e.ranges {
-		bucket := e.ws[i].buckets[s]
-		for _, m := range bucket {
-			e.next[m.to] = append(e.next[m.to], Incoming{
-				From:    int(m.from),
-				FromID:  e.ids[m.from],
-				Payload: m.payload,
-			})
-		}
-		e.ws[i].buckets[s] = bucket[:0]
-	}
-}
-
-// mergeShardVT drains every worker's virtual-time buckets for
-// destination shard s into the delivery ring — for each ring slot, in
-// worker order, which is ascending sender order. Because buckets are
-// merged EVERY round rather than held until their delivery tick, each
-// ring row accumulates its messages round-major, sender-major: exactly
-// the order roundSerialVT appends them, so parallel virtual-time
-// delivery is byte-identical to serial.
+// mergeShardVT drains every worker's buckets for destination shard s
+// into the delivery ring — for each delay d, into ring slot
+// (tick+d) mod window, in worker order, which is ascending sender
+// order. Because buckets are merged EVERY round rather than held until
+// their delivery tick, each ring row accumulates its messages
+// round-major, sender-major: exactly the order roundSerialVT appends
+// them, so parallel delivery is byte-identical to serial.
 func (e *Engine) mergeShardVT(s int) {
 	window := e.window
-	for slot := 0; slot < window; slot++ {
-		box := e.ring[slot]
-		idx := s*window + slot
+	for d := 1; d < window; d++ {
+		box := e.ring[(e.tick+d)%window]
+		idx := s*window + d
 		for i := range e.ranges {
 			bucket := e.ws[i].vtb[idx]
 			for _, m := range bucket {
@@ -1576,45 +1344,25 @@ func (e *Engine) mergeShardVT(s int) {
 	}
 }
 
-// roundParallel executes one round with the sharded worker pool:
+// roundParallelVT executes one round with the sharded worker pool:
 //
-//  1. Step phase — each worker steps a contiguous vertex range into
-//     per-(worker, destination-shard) buckets. Admission (neighbor check,
-//     edge-capacity budget) is sender-local, so each decision is
+//  1. Step phase — each worker steps a contiguous vertex range and
+//     admits its output into per-(worker, destination-shard, delay)
+//     buckets. Admission (neighbor check, edge-capacity budget, fault
+//     verdict, latency draw) is sender-local, so each decision is
 //     identical to the serial engine's.
 //  2. Merge phase — each worker owns a contiguous destination shard and
-//     drains senders in ascending order, so every inbox receives its
-//     messages in exactly the serial delivery order.
+//     drains the buckets into the ring in ascending sender order (see
+//     mergeShardVT), so every inbox receives its messages in exactly the
+//     serial delivery order.
 //
 // Metrics are shard-local sums/maxes flushed after the round. The net
-// effect is byte-for-byte equivalence with roundSerial, at zero heap
+// effect is byte-for-byte equivalence with roundSerialVT, at zero heap
 // allocations per steady-state round (see the pool fields).
-func (e *Engine) roundParallel(r int) bool {
-	e.round = r
-	for _, ws := range e.ws {
-		ws.allHalted = true
-	}
-	e.dispatch(phaseStepBuckets)
-	e.dispatch(phaseMergeBuckets)
-	allHalted := true
-	for _, ws := range e.ws {
-		allHalted = allHalted && ws.allHalted
-	}
-	return allHalted
-}
-
-// roundParallelVT executes one virtual-time round with the sharded
-// worker pool: the step phase admits each range's output into
-// per-(worker, destination-shard, ring-slot) buckets, and the merge
-// phase drains them into the ring (see mergeShardVT for the ordering
-// argument). e.cur is aliased to the tick's ring slot so stepVertex —
-// shared with the synchronous parallel round — reads and truncates the
-// right inboxes.
 func (e *Engine) roundParallelVT(r int) bool {
 	e.round = r
 	e.tick = e.metrics.Rounds
 	e.vtr = e.resolveVT(e.tick)
-	e.cur = e.ring[e.tick%e.window]
 	for _, ws := range e.ws {
 		ws.allHalted = true
 	}
@@ -1624,7 +1372,9 @@ func (e *Engine) roundParallelVT(r int) bool {
 		// then folds occupancy into its destination shard's overlay
 		// while merging (mergeShardVTSparse). The halt verdict mirrors
 		// roundSparseVT's: per-worker liveAlways/tdHalts counters are
-		// summed here, after the merge barrier published them.
+		// summed here, after the merge barrier published them, and the
+		// verdict reads the live TickDriven count from before the round.
+		tdLiveBefore := e.tdLive
 		for _, ws := range e.ws {
 			ws.liveAlways = 0
 			ws.tdHalts = 0
@@ -1636,7 +1386,7 @@ func (e *Engine) roundParallelVT(r int) bool {
 			liveAlways += ws.liveAlways
 			e.tdLive -= ws.tdHalts
 		}
-		return liveAlways == 0 && e.tdLive == 0
+		return liveAlways == 0 && tdLiveBefore == 0
 	}
 	e.dispatch(phaseStepVT)
 	e.dispatch(phaseMergeVT)
@@ -1687,7 +1437,6 @@ func (e *Engine) Run(maxRounds int) (int, error) {
 		e.metrics.MessagesByRound = grown
 	}
 	parallel := len(e.ranges) > 1
-	vt := e.vtMode()
 	if parallel {
 		e.startPool()
 	}
@@ -1703,47 +1452,36 @@ func (e *Engine) Run(maxRounds int) (int, error) {
 		if e.topo != nil {
 			e.curEpoch = e.topo.Epoch()
 		}
-		var allHalted bool
-		switch {
-		case vt:
-			// Fast-forward: an empty slot (an O(shards) occCnt
-			// reduction) plus an all-TickDriven live population means
-			// executing this tick would step nothing and deliver
-			// nothing — jump the virtual clock instead, serial and
-			// parallel alike (a skipped parallel tick bypasses the
-			// pool entirely; no phase is dispatched). A between-rounds
-			// hook pins the dense cadence (it observes every boundary),
-			// and the skipped tick's bookkeeping matches an executed
-			// empty tick exactly, so transcripts and metrics (minus
-			// TicksSkipped) are identical with skipping on or off.
-			if e.sparse && e.skip && e.betweenRounds == nil &&
-				e.occSlotEmpty(e.metrics.Rounds%e.window) && e.vtCanSkip() {
-				e.metrics.Rounds++
-				e.metrics.TicksSkipped++
-				e.metrics.MessagesByRound = append(e.metrics.MessagesByRound, 0)
-				if e.stop != nil && e.stop(r) {
-					return r + 1, nil
-				}
-				continue
+		// Fast-forward: an empty slot (an O(shards) occCnt reduction)
+		// plus an all-TickDriven live population means executing this
+		// tick would step nothing and deliver nothing — jump the virtual
+		// clock instead, serial and parallel alike (a skipped parallel
+		// tick bypasses the pool entirely; no phase is dispatched). A
+		// between-rounds hook pins the dense cadence (it observes every
+		// boundary), and the skipped tick's bookkeeping matches an
+		// executed empty tick exactly, so transcripts and metrics (minus
+		// TicksSkipped) are identical with skipping on or off.
+		if e.sparse && e.skip && e.betweenRounds == nil &&
+			e.occSlotEmpty(e.metrics.Rounds%e.window) && e.vtCanSkip() {
+			e.metrics.Rounds++
+			e.metrics.TicksSkipped++
+			e.metrics.MessagesByRound = append(e.metrics.MessagesByRound, 0)
+			if e.stop != nil && e.stop(r) {
+				return r + 1, nil
 			}
-			if parallel {
-				allHalted = e.roundParallelVT(r)
-			} else {
-				allHalted = e.roundSerialVT(r)
-			}
-		case parallel:
-			allHalted = e.roundParallel(r)
-		default:
-			allHalted = e.roundSerial(r)
+			continue
 		}
+		var allHalted bool
+		if parallel {
+			allHalted = e.roundParallelVT(r)
+		} else {
+			allHalted = e.roundSerialVT(r)
+		}
+		// The ring advances by tick index: the next tick's slot already
+		// holds its pending messages.
 		roundMsgs := e.flushRound()
 		e.metrics.Rounds++
 		e.metrics.MessagesByRound = append(e.metrics.MessagesByRound, roundMsgs)
-		if !vt {
-			// Virtual time has no swap: the ring advances by tick index
-			// (the next tick's slot already holds its pending messages).
-			e.cur, e.next = e.next, e.cur
-		}
 		if e.betweenRounds != nil {
 			e.hookAttached = false
 			if err := e.betweenRounds(r); err != nil {

@@ -411,3 +411,37 @@ func TestEnvironmentFields(t *testing.T) {
 		}
 	}
 }
+
+// TestParallelOutboxOneBucketSetPerDelay: parallel outbox buckets are
+// indexed by delay, not by ring slot. At unit latency every message has
+// d == 1, so after a flood only the d == 1 buckets may have grown; an
+// index keyed by the absolute slot (tick+d) mod window would alternate
+// between two bucket sets and grow both.
+func TestParallelOutboxOneBucketSetPerDelay(t *testing.T) {
+	g, err := graph.HND(64, 4, xrand.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(g, WithSeed(2), WithParallelism(2))
+	procs := make([]Proc, g.N())
+	for v := range procs {
+		procs[v] = &counterProc{}
+	}
+	if err := e.Attach(procs); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Run(8); err != nil {
+		t.Fatal(err)
+	}
+	if e.window != 2 || len(e.ws) != 2 {
+		t.Fatalf("window=%d workers=%d, want 2 and 2", e.window, len(e.ws))
+	}
+	for i, ws := range e.ws {
+		for idx, b := range ws.vtb {
+			shard, d := idx/e.window, idx%e.window
+			if grown := cap(b) > 0; grown != (d == 1) {
+				t.Errorf("worker %d shard %d d=%d: bucket cap %d", i, shard, d, cap(b))
+			}
+		}
+	}
+}

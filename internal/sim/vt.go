@@ -82,8 +82,7 @@ const (
 // the resolution tick-dependent). needD/needF gate the per-vertex
 // stream hoists so non-drawing ticks never derive streams.
 type vtRound struct {
-	dk, dk2      uint8 // dk2 spare for alignment; unused
-	fk           uint8
+	dk, fk       uint8
 	needD, needF bool
 	d0, d1       int     // fixed/min/near; cap/far
 	dSpan        int     // uniform: Max-Min+1
@@ -187,9 +186,10 @@ func (e *Engine) resolveVT(tick int) vtRound {
 // the edge but is counted in Dropped, not Messages, and does not
 // advance the latency stream). Fully static ticks (dkFixed + fkNone:
 // unit latency, post-GST) take a dedicated lane with the destination
-// ring slot hoisted out of the loop; that lane is what the
-// vt-flood-vs-flood CI floor measures. The admission logic is
-// hand-inlined like roundSerial's: this is the engine's hot path.
+// ring slot hoisted out of the loop; that lane carries every
+// synchronous round. The admission logic is hand-inlined, not factored
+// into a per-message call: this is the engine's hot path, and an
+// uninlined call per message costs ~50% throughput.
 func (e *Engine) deliverVT(ws *workerState, v, tick int, vtr *vtRound, out []Outgoing) {
 	n := e.n
 	window := e.window
@@ -237,11 +237,13 @@ func (e *Engine) deliverVT(ws *workerState, v, tick int, vtr *vtRound, out []Out
 			if bits > maxSent {
 				maxSent = bits
 			}
-			row := dst[to]
-			if sparse && len(row) == 0 {
+			if sparse && len(dst[to]) == 0 {
 				e.occRows[si] = append(e.occRows[si], int32(to))
 			}
-			dst[to] = append(row, Incoming{From: v, FromID: fromID, Payload: payload})
+			// Appending back into the same expression lets the compiler
+			// store only the new length while the row has capacity: no
+			// slice-pointer store, so no GC write barrier per message.
+			dst[to] = append(dst[to], Incoming{From: v, FromID: fromID, Payload: payload})
 		}
 		if sparse {
 			e.occCnt[si] += msgs
@@ -334,14 +336,13 @@ func (e *Engine) deliverVT(ws *workerState, v, tick int, vtr *vtRound, out []Out
 			}
 			si := (tick + d) % window
 			dst := e.ring[si]
-			row := dst[to]
 			if sparse {
-				if len(row) == 0 {
+				if len(dst[to]) == 0 {
 					e.occRows[si] = append(e.occRows[si], int32(to))
 				}
 				e.occCnt[si]++
 			}
-			dst[to] = append(row, Incoming{From: v, FromID: fromID, Payload: payload})
+			dst[to] = append(dst[to], Incoming{From: v, FromID: fromID, Payload: payload})
 		}
 		ws.delayClamped += clamped
 	}
@@ -350,10 +351,10 @@ func (e *Engine) deliverVT(ws *workerState, v, tick int, vtr *vtRound, out []Out
 	perNodeMax[v] = maxSent
 }
 
-// roundSerialVT executes one virtual-time round on the calling
-// goroutine: resolve the tick's dispatch record, then either the sparse
-// lane (occupancy-tracked engines) or the dense lane (every vertex
-// scanned, like the synchronous engine).
+// roundSerialVT executes one round on the calling goroutine: resolve
+// the tick's dispatch record, then either the sparse lane
+// (occupancy-tracked engines) or the dense lane (every vertex scanned).
+// Returns whether every process had halted.
 func (e *Engine) roundSerialVT(r int) bool {
 	n := e.n
 	ws := e.ws[0]
@@ -406,8 +407,15 @@ func (e *Engine) roundSerialVT(r int) bool {
 // recycled mid-flight); sorting plus the prev-dedupe below makes both
 // harmless. The slot's list and counter are reset afterwards — O(1)
 // amortized per delivered message, never O(n) per tick.
+//
+// The all-halted verdict is the dense lane's: no process was live when
+// its turn came. A TickDriven proc that halts during this round's Step
+// was live at its turn, so the verdict reads the live TickDriven count
+// from before the round; reading it after would end the run one round
+// before the dense lane does.
 func (e *Engine) roundSparseVT(r, tick int, vtr *vtRound) bool {
 	ws := e.ws[0]
+	tdLiveBefore := e.tdLive
 	si := tick % e.window
 	box := e.ring[si]
 	occ := e.occRows[si]
@@ -458,7 +466,7 @@ func (e *Engine) roundSparseVT(r, tick int, vtr *vtRound) bool {
 	}
 	e.occRows[si] = occ[:0]
 	e.occCnt[si] = 0
-	return liveAlways == 0 && e.tdLive == 0
+	return liveAlways == 0 && tdLiveBefore == 0
 }
 
 // vtCanSkip reports whether fast-forwarding over an empty tick is a
@@ -574,7 +582,7 @@ func (e *Engine) stepShardSparseVT(i int) {
 	aLo, _ := slices.BinarySearch(always, int32(lo))
 	aHi, _ := slices.BinarySearch(always, int32(hi))
 	always = always[aLo:aHi]
-	box := e.cur
+	box := e.ring[e.tick%e.window]
 	ai, oi := 0, 0
 	prev := int32(-1)
 	for ai < len(always) || oi < len(occ) {
@@ -600,7 +608,7 @@ func (e *Engine) stepShardSparseVT(i int) {
 		if !td {
 			ws.liveAlways++
 		}
-		e.stepVertexVT(v, r, ws)
+		e.stepVertexVT(v, r, ws, box)
 		if td && p.Halted() {
 			ws.tdHalts++
 		}
@@ -620,26 +628,26 @@ func (e *Engine) stepShardSparseVT(i int) {
 // delivery's sort+dedupe tolerates — the same contract as serial.
 func (e *Engine) mergeShardVTSparse(s int) {
 	window := e.window
-	for slot := 0; slot < window; slot++ {
+	for d := 1; d < window; d++ {
+		slot := (e.tick + d) % window
 		box := e.ring[slot]
 		idx := s*window + slot
 		rows := e.occRows[idx]
 		cnt := e.occCnt[idx]
 		for i := range e.ranges {
-			bucket := e.ws[i].vtb[idx]
+			bucket := e.ws[i].vtb[s*window+d]
 			for _, m := range bucket {
-				row := box[m.to]
-				if len(row) == 0 {
+				if len(box[m.to]) == 0 {
 					rows = append(rows, m.to)
 				}
-				box[m.to] = append(row, Incoming{
+				box[m.to] = append(box[m.to], Incoming{
 					From:    int(m.from),
 					FromID:  e.ids[m.from],
 					Payload: m.payload,
 				})
 				cnt++
 			}
-			e.ws[i].vtb[idx] = bucket[:0]
+			e.ws[i].vtb[s*window+d] = bucket[:0]
 		}
 		e.occRows[idx] = rows
 		e.occCnt[idx] = cnt
@@ -664,19 +672,36 @@ func (e *Engine) HasTickDriven() bool {
 // the toggle exists for A/B measurement and paranoia, not semantics.
 func (e *Engine) SetTickSkip(on bool) { e.skip = on }
 
-// stepVertexVT steps one vertex of a parallel virtual-time round,
-// admitting its output into the worker's per-(destination-shard,
-// ring-slot) buckets. Same pipeline order as deliverVT (see there); the
-// dispatch record was resolved once by roundParallelVT and is read-only
-// during the phase. Every stage is sender-local, so each decision is
-// identical however vertices are scheduled.
-func (e *Engine) stepVertexVT(v, r int, ws *workerState) {
-	out := e.stepVertex(v, r, ws)
-	if len(out) == 0 {
-		if cap(out) > cap(e.envs[v].scratch) {
-			e.envs[v].scratch = out[:0]
-		}
+// stepVertexVT steps one vertex of a parallel round, reading its inbox
+// from box (the tick's ring slot) and admitting its output into the
+// worker's per-(destination-shard, delay) buckets. Same pipeline order
+// as deliverVT (see there); the dispatch record was resolved once by
+// roundParallelVT and is read-only during the phase. Every stage is
+// sender-local, so each decision is identical however vertices are
+// scheduled, and every vertex is owned by exactly one goroutine per
+// round, so its inbox, env, proc and PerNodeMaxBit entry are touched
+// race-free.
+func (e *Engine) stepVertexVT(v, r int, ws *workerState, box [][]Incoming) {
+	p := e.procs[v]
+	if p == nil || p.Halted() {
+		box[v] = box[v][:0]
 		return
+	}
+	ws.allHalted = false
+	if e.topo != nil && e.epochOf[v] != e.curEpoch {
+		e.catchUpVertex(v)
+	}
+	out := p.Step(&e.envs[v], r, box[v])
+	box[v] = box[v][:0]
+	if len(out) == 0 {
+		return
+	}
+	if ws.nbrMark == nil {
+		ws.nbrMark = make([]uint64, e.n)
+	}
+	ws.gen++
+	for _, w := range e.sortedAdj[v] {
+		ws.nbrMark[w] = ws.gen
 	}
 	vtr := &e.vtr
 	tick, window := e.tick, e.window
@@ -774,7 +799,7 @@ func (e *Engine) stepVertexVT(v, r int, ws *workerState) {
 		if bits > maxSent {
 			maxSent = bits
 		}
-		idx := int(e.shardOf[to])*window + (tick+d)%window
+		idx := int(e.shardOf[to])*window + d
 		ws.vtb[idx] = append(ws.vtb[idx],
 			routed{to: int32(to), from: int32(v), payload: payload})
 	}

@@ -359,7 +359,7 @@ func (*flooder) Step(env *sim.Env, round int, in []sim.Incoming) []sim.Outgoing 
 func (*flooder) Halted() bool { return false }
 
 // runFloodDigest executes a 24-round flood on H(48,6) under the given
-// delay model spec ("" = the legacy synchronous engine) and returns the
+// delay model spec ("" = no model, i.e. unit latency) and returns the
 // transcript digest.
 func runFloodDigest(t *testing.T, delaySpec string) string {
 	t.Helper()
@@ -395,16 +395,16 @@ func runFloodDigest(t *testing.T, delaySpec string) string {
 
 // TestVTWindowTwoDegeneration: uniform:1-1 is a fixed next-tick model —
 // the minimal window=2 ring — and must produce the transcript of the
-// unit model and of the legacy synchronous engine, byte-for-byte.
+// unit model and of no model at all, byte-for-byte.
 func TestVTWindowTwoDegeneration(t *testing.T) {
 	legacy := runFloodDigest(t, "")
 	unit := runFloodDigest(t, "unit")
 	fixed := runFloodDigest(t, "uniform:1-1")
 	if unit != legacy {
-		t.Errorf("unit VT digest %s != legacy synchronous digest %s", unit, legacy)
+		t.Errorf("unit digest %s != no-model digest %s", unit, legacy)
 	}
 	if fixed != legacy {
-		t.Errorf("uniform:1-1 digest %s != legacy synchronous digest %s", fixed, legacy)
+		t.Errorf("uniform:1-1 digest %s != no-model digest %s", fixed, legacy)
 	}
 }
 

@@ -2,13 +2,14 @@ package sim_test
 
 // Virtual-time scheduler guards.
 //
-// The load-bearing one is the unit-latency equivalence property: the
-// virtual-time engine under sim.UnitDelay must produce delivery
-// transcripts (and metrics) byte-identical to the legacy synchronous
-// loop — across seeds {42, 7}, worker counts {1, 3, 8}, and churn
-// on/off. That property is what lets E1–E18's golden tables and the
-// seed transcript digest keep pinning ONE engine while the scheduler
-// underneath grows delay and fault models.
+// The first is the unit-latency equivalence property: an engine with
+// sim.UnitDelay installed must produce delivery transcripts (and
+// metrics) byte-identical to one with no delay model — across seeds
+// {42, 7}, worker counts {1, 3, 8}, and churn on/off. Both run the
+// delivery ring at unit latency; the synchronous lanes these tests once
+// compared against are gone, and the committed digests in
+// transcript_test.go and the churn pins, recorded from those lanes,
+// remain the reference for them.
 //
 // The rest are direct checks of the scheduler itself: fixed latencies
 // arrive exactly d ticks later, jittered and region/GST schedules are
@@ -36,9 +37,8 @@ var vtSeeds = []uint64{42, 7}
 
 // runTranscriptSeeded is runTranscript with every seed derived from
 // `seed` and the delivery models configurable — the workhorse of the
-// equivalence property. A nil delay and fault runs the legacy
-// synchronous engine; sim.UnitDelay{} runs the virtual-time scheduler
-// in its degenerate synchronous configuration.
+// equivalence property. A nil delay means unit latency, so nil and
+// sim.UnitDelay{} must run the same schedule.
 func runTranscriptSeeded(t *testing.T, seed uint64, workers int, delay sim.DelayModel, fault sim.FaultModel) (string, sim.Metrics, int) {
 	t.Helper()
 	const n, d = 192, 8
@@ -128,7 +128,7 @@ func runChurnTranscriptSeeded(t *testing.T, seed uint64, workers int, delay sim.
 
 // TestVTUnitMatchesLegacyStatic is the equivalence property on the
 // static congest-under-spam scenario: for every seed and worker count,
-// the unit-latency virtual-time engine reproduces the legacy engine's
+// an engine with sim.UnitDelay{} reproduces the nil-model engine's
 // transcript digest, metrics, and round count exactly.
 func TestVTUnitMatchesLegacyStatic(t *testing.T) {
 	for _, seed := range vtSeeds {
@@ -150,8 +150,7 @@ func TestVTUnitMatchesLegacyStatic(t *testing.T) {
 
 // TestVTUnitMatchesLegacyChurn is the same property with churn on: a
 // join/leave storm over the mutable topology, where Detach/AttachAt
-// must drop and reset ring rows exactly as they drop the double
-// buffer's.
+// drop and reset ring rows whichever way unit latency was requested.
 func TestVTUnitMatchesLegacyChurn(t *testing.T) {
 	for _, seed := range vtSeeds {
 		for _, w := range workerCounts {
