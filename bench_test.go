@@ -1,11 +1,17 @@
-// Package bench is the benchmark harness of the reproduction: one
-// testing.B benchmark per experiment E1-E18 (each regenerates its table
-// in quick mode; see DESIGN.md for the experiment index), plus
-// micro-benchmarks for the substrates the experiments stand on.
+// Package bench is the go test face of the benchmark suite.
+// BenchmarkSuite runs every perf.Suite workload — the engine, graph and
+// protocol micro-benchmarks and the E1-E20 quick table regenerations
+// (see DESIGN.md for the experiment index), exactly what `byzcount
+// bench` records in BENCH.json — as one sub-benchmark per entry. The
+// other benchmarks here cover what has no Suite entry: the sweep
+// driver, the substrate generators, the implicit lattice and the LOCAL
+// protocol.
 //
 // Run everything with:
 //
 //	go test -bench=. -benchmem
+//
+// or one Suite entry with e.g. -bench 'Suite/expt/E4$'.
 package bench
 
 import (
@@ -21,49 +27,38 @@ import (
 	"byzcount/internal/xrand"
 )
 
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	benchExperimentCfg(b, id, 1)
-}
-
-func benchExperimentCfg(b *testing.B, id string, parallel int) {
-	b.Helper()
-	// The seed is pinned: every iteration regenerates the identical
-	// table, so ns/op measures one workload and is comparable across
-	// runs and commits (a seed varying with i would average over
-	// different graphs and adversary draws).
-	for i := 0; i < b.N; i++ {
-		cfg := expt.Config{Seed: 42, Trials: 1, Quick: true, Parallel: parallel}
-		tbl, err := expt.Run(id, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(tbl.Rows) == 0 {
-			b.Fatal("empty table")
-		}
+// BenchmarkSuite runs each perf.Suite entry as a sub-benchmark named
+// after it: Setup and the Warmup iterations run untimed, then fn(b.N)
+// is timed. Entries whose iterations deliver messages also report
+// msgs/op and Mmsgs/sec.
+func BenchmarkSuite(b *testing.B) {
+	for _, entry := range perf.Suite(perf.SuiteConfig{}) {
+		b.Run(entry.Name, func(b *testing.B) {
+			fn, err := entry.Setup()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if entry.Warmup > 0 {
+				if _, err := fn(entry.Warmup); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			tot, err := fn(b.N)
+			b.StopTimer()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if tot.Msgs > 0 {
+				b.ReportMetric(float64(tot.Msgs)/float64(b.N), "msgs/op")
+				if secs := b.Elapsed().Seconds(); secs > 0 {
+					b.ReportMetric(float64(tot.Msgs)/secs/1e6, "Mmsgs/sec")
+				}
+			}
+		})
 	}
 }
-
-// The experiment benchmarks: each regenerates the corresponding table.
-
-func BenchmarkE1(b *testing.B)  { benchExperiment(b, "E1") }  // Theorem 1 sweep
-func BenchmarkE2(b *testing.B)  { benchExperiment(b, "E2") }  // Theorem 1 tolerance
-func BenchmarkE3(b *testing.B)  { benchExperiment(b, "E3") }  // Theorem 2 sweep
-func BenchmarkE4(b *testing.B)  { benchExperiment(b, "E4") }  // Remark 2 distribution
-func BenchmarkE5(b *testing.B)  { benchExperiment(b, "E5") }  // Corollary 1 benign
-func BenchmarkE6(b *testing.B)  { benchExperiment(b, "E6") }  // Section 1.2 baselines
-func BenchmarkE7(b *testing.B)  { benchExperiment(b, "E7") }  // blacklist ablation
-func BenchmarkE8(b *testing.B)  { benchExperiment(b, "E8") }  // Lemma 2 tree-like
-func BenchmarkE9(b *testing.B)  { benchExperiment(b, "E9") }  // message sizes
-func BenchmarkE10(b *testing.B) { benchExperiment(b, "E10") } // Theorem 3 dumbbell
-func BenchmarkE11(b *testing.B) { benchExperiment(b, "E11") } // Section 1.1 application
-func BenchmarkE12(b *testing.B) { benchExperiment(b, "E12") } // placement sensitivity
-func BenchmarkE13(b *testing.B) { benchExperiment(b, "E13") } // crash-fault churn (extension)
-func BenchmarkE14(b *testing.B) { benchExperiment(b, "E14") } // topology sensitivity (extension)
-func BenchmarkE15(b *testing.B) { benchExperiment(b, "E15") } // join/leave churn (extension)
-func BenchmarkE16(b *testing.B) { benchExperiment(b, "E16") } // spam + churn (extension)
-func BenchmarkE17(b *testing.B) { benchExperiment(b, "E17") } // placement under churn (extension)
-func BenchmarkE18(b *testing.B) { benchExperiment(b, "E18") } // byzantine joiner (extension)
 
 // Driver-level parallel benchmarks: the same table regenerated through
 // the sweep driver with all (row, trial) cells running concurrently.
@@ -198,18 +193,11 @@ func BenchmarkTreeLikeCheck(b *testing.B) {
 	}
 }
 
-// roundRunner is the surface shared by *sim.Engine and *dynamic.Runner
-// that the round-throughput benchmarks drive.
-type roundRunner interface {
-	Run(maxRounds int) (int, error)
-	Metrics() sim.Metrics
-}
-
 // benchRoundThroughput measures steady-state round throughput on eng.
 // The warm-up run grows every scratch buffer and inbox slab to its
 // high-water mark before the timer starts, so allocs/op reports the
 // steady state: 0.
-func benchRoundThroughput(b *testing.B, eng roundRunner) {
+func benchRoundThroughput(b *testing.B, eng *sim.Engine) {
 	b.Helper()
 	if _, err := eng.Run(64); err != nil {
 		b.Fatal(err)
@@ -229,183 +217,6 @@ func benchRoundThroughput(b *testing.B, eng roundRunner) {
 			b.ReportMetric(float64(msgs)/elapsed/1e6, "Mmsgs/sec")
 		}
 	}
-}
-
-// benchEngineRoundThroughput times the shared flood workload
-// (perf.NewFloodEngine — the same workload the BENCH.json trajectory
-// records as engine/flood/*).
-func benchEngineRoundThroughput(b *testing.B, workers int) {
-	eng, err := perf.NewFloodEngine(1024, 8, workers)
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchRoundThroughput(b, eng)
-}
-
-func BenchmarkEngineRoundThroughput(b *testing.B) {
-	benchEngineRoundThroughput(b, 1)
-}
-
-// BenchmarkEngineRoundThroughputParallel shards Step calls across
-// GOMAXPROCS workers. The execution (and the msgs/round metric) is
-// bit-identical to the serial benchmark; Mmsgs/sec measures the
-// speedup. On a single-core runner this degenerates to the serial
-// engine plus goroutine overhead — compare the two only on multi-core.
-func BenchmarkEngineRoundThroughputParallel(b *testing.B) {
-	benchEngineRoundThroughput(b, runtime.GOMAXPROCS(0))
-}
-
-// BenchmarkEngineRoundThroughputParallel8 pins 8 workers regardless of
-// GOMAXPROCS, so shard/merge overhead is measurable even on small
-// machines.
-func BenchmarkEngineRoundThroughputParallel8(b *testing.B) {
-	benchEngineRoundThroughput(b, 8)
-}
-
-// benchVTFloodThroughput times the flood workload on the virtual-time
-// scheduler (perf.NewVTFloodEngine — BENCH.json's engine/vt-flood/*):
-// every message takes a per-edge latency draw and rides the calendar
-// ring to its delivery round. "unit" is the degenerate synchronous
-// configuration (the price of the event queue alone, bit-identical
-// transcripts to the legacy path); "uniform:1-4" spreads each round's
-// sends over a four-round window, the real reordering case. Allocs/op
-// reports the steady state: 0, pinned by TestSteadyStateAllocsVT*.
-func benchVTFloodThroughput(b *testing.B, workers int, delaySpec string) {
-	eng, err := perf.NewVTFloodEngine(1024, 8, workers, delaySpec)
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchRoundThroughput(b, eng)
-}
-
-func BenchmarkEngineVTUnitRoundThroughput(b *testing.B) {
-	benchVTFloodThroughput(b, 1, "unit")
-}
-
-func BenchmarkEngineVTJitterRoundThroughput(b *testing.B) {
-	benchVTFloodThroughput(b, 1, "uniform:1-4")
-}
-
-// BenchmarkEngineVTJitterRoundThroughputParallel8: jittered delivery on
-// the sharded engine — workers bucket (destination shard, ring slot)
-// pairs locally and the coordinator merges them in sender order, so the
-// execution is bit-identical to the serial run.
-func BenchmarkEngineVTJitterRoundThroughputParallel8(b *testing.B) {
-	benchVTFloodThroughput(b, 8, "uniform:1-4")
-}
-
-// BenchmarkEngineVTSparseRoundThroughput times the pulse/relay workload
-// (perf.NewVTSparseEngine — BENCH.json's engine/vt-flood/sparse/*):
-// vertex 0 pulses a TTL-limited broadcast every 8 rounds, message-driven
-// relays propagate it under uniform:1-4 jitter, and the engine's
-// occupancy lane delivers and clears only the ring rows that received
-// something. The Parallel8 variant runs the same lane on the sharded
-// engine — per-shard union walks, occupancy folded in during merge —
-// and the Full variant runs the identical workload with unmarked
-// relays — every tick pays the O(n)-row scan — so the trio isolates the
-// sparse lane's win and its multi-core behavior.
-func BenchmarkEngineVTSparseRoundThroughput(b *testing.B) {
-	eng, err := perf.NewVTSparseEngine(1024, 8, 1, false)
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchRoundThroughput(b, eng)
-}
-
-func BenchmarkEngineVTSparseRoundThroughputParallel8(b *testing.B) {
-	eng, err := perf.NewVTSparseEngine(1024, 8, 8, false)
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchRoundThroughput(b, eng)
-}
-
-func BenchmarkEngineVTSparseRoundThroughputFull(b *testing.B) {
-	eng, err := perf.NewVTSparseEngine(1024, 8, 1, true)
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchRoundThroughput(b, eng)
-}
-
-// benchVTSkipThroughput times the token workload (perf.NewVTSkipEngine
-// — BENCH.json's engine/vt-skip/*): one token circulating a ring
-// lattice under uniform:1-4 jitter, so most virtual ticks deliver
-// nothing. With skipping on, the scheduler fast-forwards through empty
-// ticks in O(1) each (an O(shards) reduction on the parallel engine,
-// which bypasses the pool entirely on a skipped tick); with skipping
-// off (or with unmarked relays, the Full variant) every tick executes.
-// One iteration is one virtual tick either way — skipped ticks still
-// advance the clock and the metrics.
-func benchVTSkipThroughput(b *testing.B, workers int, dense, skip bool) {
-	eng, err := perf.NewVTSkipEngine(1024, workers, dense)
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng.SetTickSkip(skip)
-	benchRoundThroughput(b, eng)
-}
-
-func BenchmarkEngineVTSkipRoundThroughput(b *testing.B) {
-	benchVTSkipThroughput(b, 1, false, true)
-}
-
-func BenchmarkEngineVTSkipRoundThroughputParallel8(b *testing.B) {
-	benchVTSkipThroughput(b, 8, false, true)
-}
-
-func BenchmarkEngineVTSkipRoundThroughputNoSkip(b *testing.B) {
-	benchVTSkipThroughput(b, 1, false, false)
-}
-
-func BenchmarkEngineVTSkipRoundThroughputFull(b *testing.B) {
-	benchVTSkipThroughput(b, 1, true, true)
-}
-
-// benchEngineChurnThroughput times the churn flood workload
-// (perf.NewChurnFloodEngine — the same workload BENCH.json records as
-// engine/churn-flood/*): every round two nodes leave, two join, the
-// cycles repair locally, and the touched vertices re-resolve their
-// neighborhoods against the bumped topology epoch. Allocs/op reports
-// the steady state: 0, exactly like the static flood.
-func benchEngineChurnThroughput(b *testing.B, workers int) {
-	run, err := perf.NewChurnFloodEngine(1024, 8, workers, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchRoundThroughput(b, run)
-}
-
-func BenchmarkEngineChurnRoundThroughput(b *testing.B) {
-	benchEngineChurnThroughput(b, 1)
-}
-
-// BenchmarkEngineChurnRoundThroughputParallel8: the churn flood on the
-// sharded engine (bit-identical execution; membership changes apply
-// between rounds on the coordinator).
-func BenchmarkEngineChurnRoundThroughputParallel8(b *testing.B) {
-	benchEngineChurnThroughput(b, 8)
-}
-
-// benchEngineChurnByzThroughput times the combined churn + adversary
-// workload (perf.NewChurnByzEngine — BENCH.json's engine/churn-byz/*):
-// two leaves and two joins per round while a roster keeps 1/16 of the
-// membership Byzantine, honest slots flooding and Byzantine slots
-// spamming beacon-sized payloads. Allocs/op reports the steady state: 0.
-func benchEngineChurnByzThroughput(b *testing.B, workers int) {
-	run, err := perf.NewChurnByzEngine(1024, 8, workers, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchRoundThroughput(b, run)
-}
-
-func BenchmarkEngineChurnByzRoundThroughput(b *testing.B) {
-	benchEngineChurnByzThroughput(b, 1)
-}
-
-func BenchmarkEngineChurnByzRoundThroughputParallel8(b *testing.B) {
-	benchEngineChurnByzThroughput(b, 8)
 }
 
 // benchLatticeRoundThroughput times the flood on an implicit C_n^4
@@ -444,29 +255,6 @@ func BenchmarkImplicitEngineConstruction(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sim.New(lat, sim.WithSeed(7))
-	}
-}
-
-func BenchmarkCongestBenignRun(b *testing.B) {
-	rng := xrand.New(6)
-	g, err := graph.HND(256, 8, rng)
-	if err != nil {
-		b.Fatal(err)
-	}
-	params := counting.DefaultCongestParams(8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng := sim.New(g, sim.WithSeed(uint64(i)))
-		procs := make([]sim.Proc, g.N())
-		for v := range procs {
-			procs[v] = counting.NewCongestProc(params)
-		}
-		if err := eng.Attach(procs); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := eng.Run(params.Schedule.RoundsThroughPhase(params.MaxPhase + 1)); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

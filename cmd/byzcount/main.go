@@ -411,6 +411,9 @@ func runCmd(args []string) error {
 	if err := atLeastOne("-d", *d); err != nil {
 		return err
 	}
+	if *gst < 0 {
+		return fmt.Errorf("-gst %d: must be at least 0 (0 = no stabilization round)", *gst)
+	}
 	if *churnStop > 0 && *churn == 0 {
 		return fmt.Errorf("-churn-stop %d without -churn K has no effect; pass -churn or drop -churn-stop", *churnStop)
 	}

@@ -190,6 +190,8 @@ func TestRunRejectsOutOfRangeScenario(t *testing.T) {
 		{"-churn", "2", "-churn-stop", "-5"},
 		{"-churn", "-1"},
 		{"-max-phase", "-3"},
+		{"-gst", "-5"},
+		{"-d", "1"}, // congest needs d >= 2
 	} {
 		args := append([]string{"run", "-proto", "congest", "-n", "64", "-max-phase", "4"}, flags...)
 		if err := run(args); err == nil {

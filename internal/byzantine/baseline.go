@@ -107,6 +107,7 @@ type TreeCountInflater struct {
 	parent    sim.NodeID
 	hasParent bool
 	reported  bool
+	forwarded bool
 }
 
 var _ sim.Proc = (*TreeCountInflater)(nil)
@@ -130,8 +131,13 @@ func (t *TreeCountInflater) Step(env *sim.Env, round int, in []sim.Incoming) []s
 				out = env.AppendBroadcast(out, counting.TreeParent{Parent: m.FromID})
 			}
 		case counting.TreeTotal:
-			// Forward so the poisoned total still floods everywhere.
-			out = env.AppendBroadcast(out, msg)
+			// Forward the poisoned total once, as honest nodes do:
+			// relaying every copy lets adjacent inflaters echo it back
+			// and forth, doubling the traffic every round.
+			if !t.forwarded {
+				t.forwarded = true
+				out = env.AppendBroadcast(out, msg)
+			}
 		}
 	}
 	if t.joined && t.hasParent && !t.reported {

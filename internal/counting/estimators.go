@@ -201,6 +201,9 @@ func (p *ReturnWalkProc) Halted() bool { return false }
 // Step forwards foreign tokens and manages the node's own walk.
 func (p *ReturnWalkProc) Step(env *sim.Env, round int, in []sim.Incoming) []sim.Outgoing {
 	out := env.Scratch()
+	if len(env.Neighbors) == 0 {
+		return out // an isolated vertex receives nothing and has nowhere to walk
+	}
 	for _, m := range in {
 		tok, ok := m.Payload.(WalkToken)
 		if !ok {

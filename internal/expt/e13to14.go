@@ -3,10 +3,7 @@ package expt
 import (
 	"fmt"
 
-	"byzcount/internal/byzantine"
 	"byzcount/internal/counting"
-	"byzcount/internal/graph"
-	"byzcount/internal/sim"
 	"byzcount/internal/stats"
 	"byzcount/internal/xrand"
 )
@@ -35,31 +32,17 @@ func E13(cfg Config) (*Table, error) {
 	results, err := sweepRows(cfg, root, crashFracs,
 		func(crashFrac float64) string { return fmt.Sprintf("e13-%.2f", crashFrac) },
 		func(crashFrac float64, trial int, rng *xrand.Rand) (res, error) {
-			crashers := int(crashFrac * float64(n))
-			g, err := hnd(n, d, rng.Split("graph"))
-			if err != nil {
-				return res{}, err
-			}
-			mask, err := byzantine.RandomPlacement(g, crashers, rng.Split("place"))
-			if err != nil {
-				return res{}, err
-			}
-			params := counting.DefaultCongestParams(d)
-			params.MaxPhase = 9
-			when := rng.Split("when")
-			r, err := runProtocol(g, mask, rng.Split("run").Uint64(),
-				func(v int, eng *sim.Engine) sim.Proc { return counting.NewCongestProc(params) },
-				func(v int, eng *sim.Engine) sim.Proc {
-					return byzantine.NewCrash(counting.NewCongestProc(params), 20+when.SplitN("c", v).Intn(200))
-				},
-				congestMaxRounds(params), true)
+			r, err := RunScenario(Scenario{
+				Proto: "congest", Adversary: "crash",
+				N: n, D: d, Byz: int(crashFrac * float64(n)), MaxPhase: 9, StopFrac: 1,
+			}, rng, RunOptions{})
 			if err != nil {
 				return res{}, err
 			}
 			logd := counting.LogD(n, d)
 			return res{
-				decided: counting.DecidedFraction(r.outcomes, r.honest),
-				bounded: counting.FractionWithinFactor(r.outcomes, r.honest,
+				decided: counting.DecidedFraction(r.Outcomes, r.Honest),
+				bounded: counting.FractionWithinFactor(r.Outcomes, r.Honest,
 					0.5*logd, 2*logd+2),
 				meanEst: meanEstimate(r),
 			}, nil
@@ -95,31 +78,17 @@ func E14(cfg Config) (*Table, error) {
 		n = 128
 	}
 	root := xrand.New(cfg.Seed)
+	// Each row is the benign CONGEST cell on one substrate family, run
+	// at that family's degree parameter.
 	type topo struct {
-		name string
-		gen  func(rng *xrand.Rand) (*graph.Graph, int, error) // graph, degree param
+		name, substrate string
+		d               int
 	}
 	topos := []topo{
-		{"H(n,8)", func(rng *xrand.Rand) (*graph.Graph, int, error) {
-			g, err := graph.HND(n, 8, rng)
-			return g, 8, err
-		}},
-		{"small-world", func(rng *xrand.Rand) (*graph.Graph, int, error) {
-			g, err := graph.WattsStrogatz(n, 4, 0.2, rng)
-			return g, 8, err
-		}},
-		{"torus", func(rng *xrand.Rand) (*graph.Graph, int, error) {
-			side := 1
-			for side*side < n {
-				side++
-			}
-			g, err := graph.Torus(side, side)
-			return g, 4, err
-		}},
-		{"ring", func(rng *xrand.Rand) (*graph.Graph, int, error) {
-			g, err := graph.Ring(n)
-			return g, 2, err
-		}},
+		{"H(n,8)", "hnd", 8},
+		{"small-world", "smallworld", 8},
+		{"torus", "torus", 4},
+		{"ring", "ring", 2},
 	}
 	type res struct {
 		hEst float64
@@ -128,21 +97,17 @@ func E14(cfg Config) (*Table, error) {
 	results, err := sweepRows(cfg, root, topos,
 		func(tp topo) string { return "e14-" + tp.name },
 		func(tp topo, trial int, rng *xrand.Rand) (res, error) {
-			g, d, err := tp.gen(rng.Split("graph"))
+			r, err := RunScenario(Scenario{
+				Proto: "congest", Substrate: tp.substrate,
+				N: n, D: tp.d, MaxPhase: 12, StopFrac: 1,
+			}, rng, RunOptions{})
 			if err != nil {
 				return res{}, err
 			}
-			out := res{hEst: g.EstimateVertexExpansion(8, rng.Split("sweep"))}
-			params := counting.DefaultCongestParams(d)
-			params.MaxPhase = 12
-			r, err := runProtocol(g, nil, rng.Split("run").Uint64(),
-				func(v int, eng *sim.Engine) sim.Proc { return counting.NewCongestProc(params) },
-				nil, congestMaxRounds(params), true)
-			if err != nil {
-				return res{}, err
-			}
-			out.ests = counting.DecidedEstimates(r.outcomes, r.honest)
-			return out, nil
+			return res{
+				hEst: r.Graph.EstimateVertexExpansion(8, rng.Split("sweep")),
+				ests: counting.DecidedEstimates(r.Outcomes, r.Honest),
+			}, nil
 		})
 	if err != nil {
 		return nil, err

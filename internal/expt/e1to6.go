@@ -70,9 +70,9 @@ func E1(cfg Config) (*Table, error) {
 				diam:       float64(diam),
 				benignMean: meanEstimate(benign),
 				attackMean: meanEstimate(attack),
-				boundedFrac: counting.FractionWithinFactor(attack.outcomes, attack.honest,
+				boundedFrac: counting.FractionWithinFactor(attack.Outcomes, attack.Honest,
 					1, float64(diam+3)),
-				rounds: float64(attack.rounds),
+				rounds: float64(attack.Rounds),
 			}, nil
 		})
 	if err != nil {
@@ -102,7 +102,6 @@ func E2(cfg Config) (*Table, error) {
 		Columns: []string{"gamma", "B", "decided_frac", "bounded_frac", "mean_est", "far_mean_est"},
 	}
 	const d = 8
-	delta := d + 2
 	n := 256
 	if cfg.Quick {
 		n = 128
@@ -116,44 +115,30 @@ func E2(cfg Config) (*Table, error) {
 	results, err := sweepRows(cfg, root, gammas,
 		func(gamma float64) string { return fmt.Sprintf("e2-g%.2f", gamma) },
 		func(gamma float64, trial int, rng *xrand.Rand) (res, error) {
-			b := byzCount(n, 1-gamma)
-			g, err := hnd(n, d, rng.Split("graph"))
+			r, err := RunScenario(Scenario{
+				Proto: "local", Adversary: "fake", Placement: "clustered",
+				N: n, D: d, Byz: byzCount(n, 1-gamma), StopFrac: 1,
+			}, rng, RunOptions{})
 			if err != nil {
 				return res{}, err
 			}
-			diam, err := g.Diameter()
-			if err != nil {
-				return res{}, err
-			}
-			byz, err := byzantine.ClusteredPlacement(g, b, rng.Split("place"))
-			if err != nil {
-				return res{}, err
-			}
-			world, err := byzantine.NewFakeWorld(2*n, d, delta, max(b, 1), rng.Split("world"))
-			if err != nil {
-				return res{}, err
-			}
-			params := counting.DefaultLocalParams(delta)
-			r, err := runProtocol(g, byz, rng.Split("run").Uint64(),
-				func(v int, eng *sim.Engine) sim.Proc { return counting.NewLocalProc(params) },
-				func(v int, eng *sim.Engine) sim.Proc { return byzantine.NewFakeNetworkLocal(world, eng.ID(v), 1) },
-				params.MaxRounds+8, true)
+			diam, err := r.Graph.Diameter()
 			if err != nil {
 				return res{}, err
 			}
 			out := res{
-				decided: counting.DecidedFraction(r.outcomes, r.honest),
-				bounded: counting.FractionWithinFactor(r.outcomes, r.honest,
+				decided: counting.DecidedFraction(r.Outcomes, r.Honest),
+				bounded: counting.FractionWithinFactor(r.Outcomes, r.Honest,
 					1, float64(diam+3)),
 				meanAll: meanEstimate(r),
 			}
 			// "Far" nodes: distance > 2 from every Byzantine vertex — the
 			// Good set of Lemma 1 at this scale.
-			far := farMask(g, byz, 2)
+			far := farMask(r.Graph, r.Byz, 2)
 			var fsum float64
 			var fcnt int
-			for v, o := range r.outcomes {
-				if r.honest[v] && far[v] && o.Decided {
+			for v, o := range r.Outcomes {
+				if r.Honest[v] && far[v] && o.Decided {
 					fsum += float64(o.Estimate)
 					fcnt++
 				}
@@ -297,41 +282,24 @@ func E4(cfg Config) (*Table, error) {
 		n = 128
 	}
 	root := xrand.New(cfg.Seed)
+	b := byzCount(n, 0.45)
 
 	type scen struct {
-		label   string
-		withByz bool
+		label string
+		byz   int
 	}
-	scens := []scen{
-		{"benign", false},
-		{"spam_B=" + fmt.Sprint(byzCount(n, 0.45)), true},
-	}
+	scens := []scen{{"benign", 0}, {"spam_B=" + fmt.Sprint(b), b}}
 	results, err := sweepRows(cfg, root, scens,
 		func(s scen) string { return "e4-" + s.label },
 		func(s scen, trial int, rng *xrand.Rand) ([]int, error) {
-			g, err := hnd(n, d, rng.Split("graph"))
+			r, err := RunScenario(Scenario{
+				Proto: "congest", Adversary: "spam",
+				N: n, D: d, Byz: s.byz, MaxPhase: 12, StopFrac: 1,
+			}, rng, RunOptions{})
 			if err != nil {
 				return nil, err
 			}
-			var byz []bool
-			if s.withByz {
-				byz, err = byzantine.RandomPlacement(g, byzCount(n, 0.45), rng.Split("place"))
-				if err != nil {
-					return nil, err
-				}
-			}
-			params := counting.DefaultCongestParams(d)
-			params.MaxPhase = 12
-			r, err := runProtocol(g, byz, rng.Split("run").Uint64(),
-				func(v int, eng *sim.Engine) sim.Proc { return counting.NewCongestProc(params) },
-				func(v int, eng *sim.Engine) sim.Proc {
-					return byzantine.NewBeaconSpammer(params.Schedule, 6, false, rng.SplitN("spam", v))
-				},
-				congestMaxRounds(params), true)
-			if err != nil {
-				return nil, err
-			}
-			return counting.DecidedEstimates(r.outcomes, r.honest), nil
+			return counting.DecidedEstimates(r.Outcomes, r.Honest), nil
 		})
 	if err != nil {
 		return nil, err
@@ -368,26 +336,20 @@ func E5(cfg Config) (*Table, error) {
 	results, err := sweepRows(cfg, root, ns,
 		func(n int) string { return fmt.Sprintf("e5-n%d", n) },
 		func(n, trial int, rng *xrand.Rand) (res, error) {
-			g, err := hnd(n, d, rng.Split("graph"))
-			if err != nil {
-				return res{}, err
-			}
-			params := counting.DefaultCongestParams(d)
-			r, err := runProtocol(g, nil, rng.Split("run").Uint64(),
-				func(v int, eng *sim.Engine) sim.Proc { return counting.NewCongestProc(params) },
-				nil, congestMaxRounds(params), false) // run to full halt
+			// StopFrac 0: run to full halt.
+			r, err := RunScenario(Scenario{Proto: "congest", N: n, D: d}, rng, RunOptions{})
 			if err != nil {
 				return res{}, err
 			}
 			hist := stats.NewHistogram()
-			for _, e := range counting.DecidedEstimates(r.outcomes, r.honest) {
+			for _, e := range counting.DecidedEstimates(r.Outcomes, r.Honest) {
 				hist.Add(e)
 			}
 			mode, _ := hist.Mode()
 			return res{
-				rounds:  float64(r.rounds),
+				rounds:  float64(r.Rounds),
 				frac:    hist.Fraction(mode-1, mode+1),
-				maxBits: float64(r.metrics.MaxMsgBits),
+				maxBits: float64(r.Metrics.MaxMsgBits),
 				mode:    float64(mode),
 			}, nil
 		})

@@ -53,11 +53,11 @@ func E7(cfg Config) (*Table, error) {
 				return res{}, err
 			}
 			return res{
-				decided: counting.DecidedFraction(r.outcomes, r.honest),
+				decided: counting.DecidedFraction(r.Outcomes, r.Honest),
 				meanEst: meanEstimate(r),
-				inflated: counting.FractionWithinFactor(r.outcomes, r.honest,
+				inflated: counting.FractionWithinFactor(r.Outcomes, r.Honest,
 					float64(params.MaxPhase), 1e18),
-				rounds: float64(r.rounds),
+				rounds: float64(r.Rounds),
 			}, nil
 		})
 	if err != nil {
@@ -158,9 +158,9 @@ func E9(cfg Config) (*Table, error) {
 				return res{}, err
 			}
 			return res{
-				localTotal:   float64(lres.metrics.Bits),
-				congestMax:   float64(cres.metrics.MaxMsgBits),
-				congestTotal: float64(cres.metrics.Bits),
+				localTotal:   float64(lres.Metrics.Bits),
+				congestMax:   float64(cres.Metrics.MaxMsgBits),
+				congestTotal: float64(cres.Metrics.Bits),
 			}, nil
 		})
 	if err != nil {
@@ -223,7 +223,7 @@ func E10(cfg Config) (*Table, error) {
 			}
 			var lsum, rsum float64
 			var lcnt, rcnt int
-			for v, o := range r.outcomes {
+			for v, o := range r.Outcomes {
 				if v == bridge || !o.Decided {
 					continue
 				}
@@ -290,7 +290,7 @@ func E11(cfg Config) (*Table, error) {
 			return 0, err
 		}
 		hist := stats.NewHistogram()
-		for _, e := range counting.DecidedEstimates(res.outcomes, res.honest) {
+		for _, e := range counting.DecidedEstimates(res.Outcomes, res.Honest) {
 			hist.Add(e)
 		}
 		mode, _ := hist.Mode()

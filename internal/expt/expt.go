@@ -3,8 +3,10 @@
 // mapping each to a claim of the paper), the concurrent sweep driver
 // they share, and the scenario-composition layer (scenario.go) that
 // makes protocol x substrate x adversary x placement x churn an
-// enumerable grid (matrix.go). Each runner generates its workload,
-// sweeps its parameters, and returns a Table whose rows are the series
+// enumerable grid (matrix.go). Most runners describe each cell as a
+// Scenario and run it with RunScenario; E1, E7, E9, E10 and E11 still
+// wire their engines through runProtocol (runners.go). Each runner
+// sweeps its parameters and returns a Table whose rows are the series
 // the paper's claims predict.
 package expt
 

@@ -10,16 +10,6 @@ import (
 	"byzcount/internal/xrand"
 )
 
-// runOutcome bundles what an experiment needs from one protocol run.
-type runOutcome struct {
-	outcomes []counting.Outcome
-	honest   []bool
-	rounds   int
-	metrics  sim.Metrics
-	engine   *sim.Engine
-	procs    []sim.Proc
-}
-
 // mkProc builds the process for one vertex; the engine is available for
 // adversaries that need global knowledge (the omniscient-adversary model).
 type mkProc func(v int, eng *sim.Engine) sim.Proc
@@ -30,12 +20,12 @@ type mkProc func(v int, eng *sim.Engine) sim.Proc
 // runs until all processes halt or maxRounds passes. byz may be nil (no
 // Byzantine nodes; byzProc is then never called).
 func runProtocol(g *graph.Graph, byz []bool, seed uint64, honestProc, byzProc mkProc,
-	maxRounds int, stopWhenDecided bool) (runOutcome, error) {
+	maxRounds int, stopWhenDecided bool) (*ScenarioOutcome, error) {
 	frac := 0.0
 	if stopWhenDecided {
 		frac = 1.0
 	}
-	return runProtocolOnEngine(sim.New(g, sim.WithSeed(seed)), g.N(), byz, honestProc, byzProc, maxRounds, frac, engineOpts{})
+	return runProtocolOnEngine(sim.New(g, sim.WithSeed(seed)), byz, honestProc, byzProc, maxRounds, frac, engineOpts{})
 }
 
 // engineOpts is the execution-shape bundle RunScenario threads to the
@@ -54,15 +44,16 @@ type engineOpts struct {
 }
 
 // runProtocolOnEngine is the substrate-independent protocol run body
-// shared by the static and implicit paths (both sim.New dispatch paths
-// assign IDs from the same seed-derived stream in slot order, so over
-// identical adjacency they produce byte-identical runs). Processes are
-// built in ascending vertex order after every ID is assigned. The run
-// ends once at least stopFrac of the honest nodes have decided (Theorem
-// 2 only promises (1-beta)n deciders — Byzantine-adjacent stragglers may
-// never decide on their own); stopFrac <= 0 runs to halt.
-func runProtocolOnEngine(eng *sim.Engine, n int, byz []bool, honestProc, byzProc mkProc,
-	maxRounds int, stopFrac float64, eo engineOpts) (runOutcome, error) {
+// shared by runProtocol and the static scenario path (both sim.New
+// dispatch paths assign IDs from the same seed-derived stream in slot
+// order, so over identical adjacency they produce byte-identical runs).
+// Processes are built in ascending vertex order after every ID is
+// assigned. The run ends once at least stopFrac of the honest nodes have
+// decided (Theorem 2 only promises (1-beta)n deciders — Byzantine-adjacent
+// stragglers may never decide on their own); stopFrac <= 0 runs to halt.
+// The outcome carries no substrate; the caller sets Graph or Topology.
+func runProtocolOnEngine(eng *sim.Engine, byz []bool, honestProc, byzProc mkProc,
+	maxRounds int, stopFrac float64, eo engineOpts) (*ScenarioOutcome, error) {
 	if eo.delay != nil {
 		eng.SetDelayModel(eo.delay)
 	}
@@ -73,6 +64,7 @@ func runProtocolOnEngine(eng *sim.Engine, n int, byz []bool, honestProc, byzProc
 		eng.SetCancel(eo.done)
 	}
 	eng.SetParallelism(max(eo.workers, 1))
+	n := eng.Slots()
 	procs := make([]sim.Proc, n)
 	for v := range procs {
 		if byz != nil && byz[v] {
@@ -82,7 +74,7 @@ func runProtocolOnEngine(eng *sim.Engine, n int, byz []bool, honestProc, byzProc
 		}
 	}
 	if err := eng.Attach(procs); err != nil {
-		return runOutcome{}, err
+		return nil, err
 	}
 	honest := make([]bool, n)
 	for v := range honest {
@@ -110,15 +102,16 @@ func runProtocolOnEngine(eng *sim.Engine, n int, byz []bool, honestProc, byzProc
 	}
 	rounds, err := eng.Run(maxRounds)
 	if err != nil {
-		return runOutcome{}, err
+		return nil, err
 	}
-	return runOutcome{
-		outcomes: counting.Outcomes(procs),
-		honest:   honest,
-		rounds:   rounds,
-		metrics:  eng.Metrics(),
-		engine:   eng,
-		procs:    procs,
+	return &ScenarioOutcome{
+		Outcomes: counting.Outcomes(procs),
+		Honest:   honest,
+		Procs:    procs,
+		Rounds:   rounds,
+		Metrics:  eng.Metrics(),
+		Byz:      byz,
+		Engine:   eng,
 	}, nil
 }
 
@@ -135,8 +128,8 @@ func byzCount(n int, exponent float64) int {
 }
 
 // meanEstimate returns the mean decided estimate among honest vertices.
-func meanEstimate(o runOutcome) float64 {
-	vals := counting.DecidedEstimates(o.outcomes, o.honest)
+func meanEstimate(o *ScenarioOutcome) float64 {
+	vals := counting.DecidedEstimates(o.Outcomes, o.Honest)
 	if len(vals) == 0 {
 		return 0
 	}

@@ -5,13 +5,15 @@ package expt
 // churn — with a named registry per axis, so the cross-product of
 // everything the reproduction can execute is enumerable (the `byzcount
 // matrix` subcommand) instead of hand-wired one runner at a time.
-// E3, E6, E12, and E15 are rebased onto RunScenario as proof the old
-// runners decompose; their tables are byte-identical to the
+// E2-E6, E12-E14 and E15 are rebased onto RunScenario as proof the
+// old runners decompose; their tables are byte-identical to the
 // pre-scenario code because every axis implementation derives its
 // randomness with the exact split labels the hand-wired runners used
-// ("graph", "place", "run", "spam", "net", "eng", ...). New
-// cross-product cells — Byzantine adversaries on churning topologies —
-// are E16-E18.
+// ("graph", "place", "run", "spam", "world", "when", "net", "eng",
+// ...). E1, E7, E9, E10 and E11 still wire runProtocol by hand: their
+// labels or substrates have no axis value, and they move when the
+// determinism contract is versioned. New cross-product cells —
+// Byzantine adversaries on churning topologies — are E16-E18.
 
 import (
 	"context"
@@ -197,6 +199,9 @@ func (sc Scenario) Validate() error {
 	if (count > 0 || sc.ByzJoiners > 0) && adv.Proc == nil {
 		return fmt.Errorf("expt: %d Byzantine nodes need an adversary (have %v)", max(count, sc.ByzJoiners), AdversaryNames())
 	}
+	if proto.Congest && sc.D < 2 {
+		return fmt.Errorf("expt: the %s protocol needs degree d >= 2, not %d", sc.Proto, sc.D)
+	}
 	if adv.NeedsSchedule && !proto.Congest {
 		return fmt.Errorf("expt: adversary %q is schedule-driven and needs the congest protocol, not %q", sc.Adversary, sc.Proto)
 	}
@@ -336,10 +341,11 @@ type Substrate struct {
 	// Implicit, when set, marks an on-demand family: RunScenario runs it
 	// on a sim.New engine over the returned topology instead of
 	// materializing a CSR, so a million-vertex cell costs O(1) substrate
-	// memory. The run path mirrors the static split-label sequence and
-	// both engine constructors share their ID-stream derivation, so an
-	// implicit cell's outputs are byte-identical to its materialized
-	// counterpart's (pinned by TestImplicitScenarioMatchesMaterialized).
+	// memory. It takes the same static run path as a materialized family
+	// (only the build differs) and both engine constructors share their
+	// ID-stream derivation, so an implicit cell's outputs are
+	// byte-identical to its materialized counterpart's (pinned by
+	// TestImplicitScenarioMatchesMaterialized and FuzzRunScenario).
 	// Implicit families bypass the substrate cache — building one is a
 	// couple of field writes, cheaper than the cache lookup (see
 	// cache.go). Build stays populated as the materialized counterpart
@@ -540,10 +546,11 @@ func AdversaryNames() []string { return sortedKeys(Adversaries) }
 // PlacementNames returns the registered placement names, sorted.
 func PlacementNames() []string { return sortedKeys(Placements) }
 
-// ScenarioOutcome is what one scenario run produces. Outcomes, Honest,
-// and Procs are parallel: indexed by vertex on a static substrate, and
-// by position in AliveSlots (the nodes alive at the end, in slot order)
-// on a churning one.
+// ScenarioOutcome is what one scenario run produces (a hand-wired
+// runProtocol run returns one too, with no substrate set). Outcomes,
+// Honest, and Procs are parallel: indexed by vertex on a static
+// substrate, and by position in AliveSlots (the nodes alive at the end,
+// in slot order) on a churning one.
 type ScenarioOutcome struct {
 	Outcomes []counting.Outcome
 	Honest   []bool
@@ -616,23 +623,36 @@ func RunScenario(sc Scenario, rng *xrand.Rand, opts RunOptions) (*ScenarioOutcom
 	if sc.Churn.Active() || sc.Dynamic {
 		return runScenarioChurn(sc, ctx, proto, adv, eo)
 	}
-	if Substrates[sc.Substrate].Implicit != nil {
-		return runScenarioImplicit(sc, ctx, proto, adv, eo)
-	}
 	return runScenarioStatic(sc, ctx, proto, adv, eo)
 }
 
-// runScenarioImplicit is the on-demand-substrate path: no CSR is
-// materialized — the engine resolves neighborhoods lazily from the
-// implicit topology. The split-label sequence ("graph", "place", "run")
-// mirrors runScenarioStatic call for call (the "graph" stream is split
-// even though deterministic implicit builds never draw from it), and
-// both sim.New dispatch paths assign IDs the same way, so a cell's
-// outputs are byte-identical to the materialized counterpart's.
-func runScenarioImplicit(sc Scenario, ctx *scenarioCtx, proto Protocol, adv Adversary, eo engineOpts) (*ScenarioOutcome, error) {
+// runScenarioStatic is the fixed-substrate path, materialized or
+// implicit; the only branch is the build. A materialized family goes
+// through the substrate cache; an implicit one resolves neighborhoods on
+// demand, so no CSR is built. The split-label sequence ("graph", "place",
+// adversary Prepare labels, "run") is exactly the hand-wired runners',
+// which is what keeps the rebased tables byte-identical. Both sim.New
+// dispatch paths assign IDs the same way, so an implicit cell's outputs
+// are byte-identical to its materialized counterpart's.
+func runScenarioStatic(sc Scenario, ctx *scenarioCtx, proto Protocol, adv Adversary, eo engineOpts) (*ScenarioOutcome, error) {
 	sub := Substrates[sc.Substrate]
-	_ = ctx.rng.Split("graph")
-	topo, err := sub.Implicit(sc.N, sc.D)
+	// The build stream is split off purely for this build, so its seed
+	// identifies the draw and the substrate cache can reuse one immutable
+	// graph across every cell that derives the same stream. Implicit
+	// builds are deterministic and never draw from it.
+	grng := ctx.rng.Split("graph")
+	var (
+		topo sim.Topology
+		g    *graph.Graph
+		err  error
+	)
+	if sub.Implicit != nil {
+		topo, err = sub.Implicit(sc.N, sc.D)
+	} else {
+		g, err = cachedSubstrate(sc.Substrate, sc.N, sc.D, grng.Seed(), sub.Deterministic,
+			func() (*graph.Graph, error) { return sub.Build(sc.N, sc.D, grng) })
+		topo = g
+	}
 	if err != nil {
 		return nil, fmt.Errorf("expt: building %s(n=%d,d=%d): %w", sc.Substrate, sc.N, sc.D, err)
 	}
@@ -654,75 +674,19 @@ func runScenarioImplicit(sc Scenario, ctx *scenarioCtx, proto Protocol, adv Adve
 	if maxRounds == 0 {
 		maxRounds = proto.MaxRounds(ctx)
 	}
-	r, err := runProtocolOnEngine(sim.New(topo, sim.WithSeed(ctx.rng.Split("run").Uint64())), topo.Slots(), byz,
+	r, err := runProtocolOnEngine(sim.New(topo, sim.WithSeed(ctx.rng.Split("run").Uint64())), byz,
 		func(v int, eng *sim.Engine) sim.Proc { return proto.Proc(ctx, v) },
 		func(v int, eng *sim.Engine) sim.Proc { return adv.Proc(ctx, v, eng.ID(v), true) },
 		maxRounds, sc.StopFrac, eo)
 	if err != nil {
 		return nil, err
 	}
-	return &ScenarioOutcome{
-		Outcomes: r.outcomes,
-		Honest:   r.honest,
-		Procs:    r.procs,
-		Rounds:   r.rounds,
-		Metrics:  r.metrics,
-		Byz:      byz,
-		Topology: topo,
-		Engine:   r.engine,
-	}, nil
-}
-
-// runScenarioStatic is the static-substrate path; its split-label
-// sequence ("graph", "place", adversary Prepare labels, "run") is
-// exactly the hand-wired runners', which is what keeps the rebased
-// E3/E6/E12 tables byte-identical.
-func runScenarioStatic(sc Scenario, ctx *scenarioCtx, proto Protocol, adv Adversary, eo engineOpts) (*ScenarioOutcome, error) {
-	sub := Substrates[sc.Substrate]
-	// The build stream is split off purely for this build, so its seed
-	// identifies the draw and the substrate cache can reuse one immutable
-	// graph across every cell that derives the same stream.
-	grng := ctx.rng.Split("graph")
-	g, err := cachedSubstrate(sc.Substrate, sc.N, sc.D, grng.Seed(), sub.Deterministic,
-		func() (*graph.Graph, error) { return sub.Build(sc.N, sc.D, grng) })
-	if err != nil {
-		return nil, fmt.Errorf("expt: building %s(n=%d,d=%d): %w", sc.Substrate, sc.N, sc.D, err)
+	if g != nil {
+		r.Graph = g
+	} else {
+		r.Topology = topo
 	}
-	count, _ := sc.byzBudget()
-	byz := make([]bool, g.N())
-	if count > 0 {
-		byz, err = Placements[sc.Placement](g, count, ctx.rng.Split("place"))
-		if err != nil {
-			return nil, err
-		}
-	}
-	ctx.byz = byz
-	if adv.Prepare != nil {
-		if err := adv.Prepare(ctx); err != nil {
-			return nil, err
-		}
-	}
-	maxRounds := sc.MaxRounds
-	if maxRounds == 0 {
-		maxRounds = proto.MaxRounds(ctx)
-	}
-	r, err := runProtocolOnEngine(sim.New(g, sim.WithSeed(ctx.rng.Split("run").Uint64())), g.N(), byz,
-		func(v int, eng *sim.Engine) sim.Proc { return proto.Proc(ctx, v) },
-		func(v int, eng *sim.Engine) sim.Proc { return adv.Proc(ctx, v, eng.ID(v), true) },
-		maxRounds, sc.StopFrac, eo)
-	if err != nil {
-		return nil, err
-	}
-	return &ScenarioOutcome{
-		Outcomes: r.outcomes,
-		Honest:   r.honest,
-		Procs:    r.procs,
-		Rounds:   r.rounds,
-		Metrics:  r.metrics,
-		Byz:      byz,
-		Graph:    g,
-		Engine:   r.engine,
-	}, nil
+	return r, nil
 }
 
 // runScenarioChurn is the mutable-substrate path: the dynamically

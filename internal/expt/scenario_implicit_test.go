@@ -12,7 +12,6 @@ import (
 	"reflect"
 	"testing"
 
-	"byzcount/internal/graph"
 	"byzcount/internal/sim"
 	"byzcount/internal/xrand"
 )
@@ -85,16 +84,7 @@ func TestImplicitScenarioMatchesMaterialized(t *testing.T) {
 // family (which has no standing materialized registry name) against a
 // temporary registry entry built from RingLattice.Materialize.
 func TestLatticeScenarioMatchesMaterialized(t *testing.T) {
-	const matName = "lattice-materialized-for-test"
-	Substrates[matName] = Substrate{Name: matName, Deterministic: true,
-		Build: func(n, d int, rng *xrand.Rand) (*graph.Graph, error) {
-			lat, err := graph.NewRingLattice(n, latticeK(d))
-			if err != nil {
-				return nil, err
-			}
-			return lat.Materialize()
-		}}
-	defer delete(Substrates, matName)
+	matName := registerMaterializedLattice(t)
 	sc := Scenario{Substrate: matName, N: 246, D: 8, Byz: 6, Adversary: "spam", Placement: "spread", MaxPhase: 6}
 	ref := runCell(t, sc, 1)
 	for _, workers := range []int{1, 8} {

@@ -6,6 +6,10 @@ import (
 	"strings"
 	"testing"
 
+	"byzcount/internal/byzantine"
+	"byzcount/internal/counting"
+	"byzcount/internal/graph"
+	"byzcount/internal/sim"
 	"byzcount/internal/xrand"
 )
 
@@ -25,6 +29,7 @@ func TestScenarioValidate(t *testing.T) {
 			Churn: ChurnProfile{Leaves: 1, Joins: 1}}, "benign"},
 		{Scenario{Byz: 2}, "adversary"}, // Byzantine nodes with adversary "none"
 		{Scenario{N: 2}, "degenerate"},
+		{Scenario{D: 1}, "d >= 2"}, // the CONGEST schedule needs d >= 2
 		{Scenario{Delay: "bogus"}, "delay"},
 		{Scenario{Delay: "uniform:4-1"}, "uniform"},
 		{Scenario{Fault: "bogus"}, "fault"},
@@ -276,29 +281,67 @@ func TestScenarioChurnByzDeterminism(t *testing.T) {
 }
 
 // TestScenarioStaticMatchesHandWired: the scenario layer's static path
-// is the old runner decomposed, not a reimplementation — for the E3
-// cell shape it must produce the exact runProtocol outcome.
+// is the hand-wired runner decomposed, not a reimplementation. The E4
+// spam cell is wired here directly on sim.New with the split labels the
+// pre-scenario E4 drew ("graph", "place", "spam" per vertex, "run"), and
+// RunScenario must reproduce its outcomes, metrics and rounds exactly.
 func TestScenarioStaticMatchesHandWired(t *testing.T) {
-	rngA := xrand.New(1234)
-	out, err := RunScenario(Scenario{
-		Proto: "congest", Adversary: "spam", Placement: "random",
-		N: 64, D: 8, Byz: 4, MaxPhase: 6, StopFrac: 1,
-	}, rngA, RunOptions{})
+	const n, d, seed = 128, 8, 1234
+	b := byzCount(n, 0.45)
+	params := counting.DefaultCongestParams(d)
+	params.MaxPhase = 12
+
+	rng := xrand.New(seed)
+	g, err := graph.HND(n, d, rng.Split("graph"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Rounds == 0 || out.Metrics.Messages == 0 {
+	byz, err := byzantine.RandomPlacement(g, b, rng.Split("place"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := sim.New(g, sim.WithSeed(rng.Split("run").Uint64()))
+	procs := make([]sim.Proc, n)
+	for v := range procs {
+		if byz[v] {
+			procs[v] = byzantine.NewBeaconSpammer(params.Schedule, 6, false, rng.SplitN("spam", v))
+		} else {
+			procs[v] = counting.NewCongestProc(params)
+		}
+	}
+	if err := eng.Attach(procs); err != nil {
+		t.Fatal(err)
+	}
+	eng.SetStopCondition(func(int) bool {
+		for v, p := range procs {
+			if !byz[v] && !p.(counting.Estimator).Outcome().Decided {
+				return false
+			}
+		}
+		return true
+	})
+	rounds, err := eng.Run(params.Schedule.RoundsThroughPhase(params.MaxPhase + 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rounds == 0 || eng.Metrics().Messages == 0 {
 		t.Fatal("degenerate run")
 	}
-	// Same seed, same cell: byte-identical outcome set.
-	out2, err := RunScenario(Scenario{
-		Proto: "congest", Adversary: "spam", Placement: "random",
-		N: 64, D: 8, Byz: 4, MaxPhase: 6, StopFrac: 1,
-	}, xrand.New(1234), RunOptions{})
+
+	out, err := RunScenario(Scenario{
+		Proto: "congest", Adversary: "spam",
+		N: n, D: d, Byz: b, MaxPhase: 12, StopFrac: 1,
+	}, xrand.New(seed), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(out.Outcomes, out2.Outcomes) || !reflect.DeepEqual(out.Metrics, out2.Metrics) {
-		t.Error("same-seed scenario runs diverge")
+	if !reflect.DeepEqual(out.Outcomes, counting.Outcomes(procs)) {
+		t.Error("outcomes diverge from the hand-wired run")
+	}
+	if !reflect.DeepEqual(out.Metrics, eng.Metrics()) {
+		t.Errorf("metrics diverge: scenario %+v, hand-wired %+v", out.Metrics, eng.Metrics())
+	}
+	if out.Rounds != rounds {
+		t.Errorf("rounds %d, hand-wired %d", out.Rounds, rounds)
 	}
 }
